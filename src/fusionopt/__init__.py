@@ -43,14 +43,9 @@ from .optimizers import (
     OptimizerConfig,
     OptResult,
     brute_force,
-    genetic,
-    nelder_mead,
     optimize,
-    powell,
-    pso,
     result_to_json,
     write_result_json,
-    write_trace_csv,
 )
 from .scoreio import (
     FusionDataset,

@@ -5,7 +5,8 @@ Commands
 evaluate   per-model metrics for one or more score files
 fuse       combine score files under explicit weights, write fused CSV
 optimize   run one configured weight search from a manifest
-compare    run the six-method comparison from a manifest
+compare    run the six-method comparison from a manifest; beside its report
+           ``<out>.csv`` it writes each method's result as ``<out>.<method>.json``
 prep       clean / balance / augment a JSONL sample file
 
 Exit codes: 0 success, 1 domain error (validation or optimizer failure),
@@ -46,10 +47,6 @@ from .textprep import (
 )
 
 COMPARISON_ORDER = ("equal", "pso", "ga", "bf", "powell", "nelder-mead")
-
-# A comparison row is a report row whose weights were chosen on the
-# validation split and whose metrics come from the test split.
-ComparisonRow = ReportRow
 
 
 def _search_and_score(validation, test, method, params, seed, grid_step, variant):
@@ -143,18 +140,21 @@ def cmd_compare(args) -> int:
     seed = args.seed if args.seed is not None else manifest.seed
     out = Path(args.out) if args.out else manifest.output
     validation, test = load_manifest_splits(manifest)
-    rows = []
+    results, rows = [], []
     for method in COMPARISON_ORDER:
         params = manifest.params if method == manifest.method else {}
         try:
-            _, row = _search_and_score(
+            result, row = _search_and_score(
                 validation, test, method, params, seed,
                 manifest.grid_step, manifest.objective,
             )
         except FusionOptError as exc:
             raise type(exc)(f"method '{method}': {exc}") from exc
+        results.append(result)
         rows.append(row)
         _print_row(row)
+    for result in results:
+        write_result_json(result, out.with_name(f"{out.stem}.{result.method}.json"))
     write_report(rows, out)
     return 0
 

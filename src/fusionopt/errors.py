@@ -11,7 +11,17 @@ class FusionOptError(Exception):
 
 
 class DataError(FusionOptError):
-    """Malformed or inconsistent score files, labels, or datasets."""
+    """Malformed or inconsistent score files, labels, or datasets.
+
+    A check on one row of a table sets ``row`` (0-based) and ``reason`` (the
+    message without its location), so a file loader can restate the error
+    as ``path:line: reason``.
+    """
+
+    def __init__(self, message: str, *, row: int | None = None, reason: str | None = None):
+        super().__init__(message)
+        self.row = row
+        self.reason = reason
 
 
 class ConfigError(FusionOptError):

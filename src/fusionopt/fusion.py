@@ -141,6 +141,11 @@ def equal_weights(n_models: int) -> WeightVector:
     return WeightVector(np.full(n_models, 1.0 / n_models))
 
 
+def combine(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The fusion arithmetic: ``sum_n weights[n] * stack[n]`` over the model axis."""
+    return (weights[:, None, None] * stack).sum(axis=0)
+
+
 def fuse(dataset, weights: WeightVector) -> FusedScores:
     """Linear combination of the models' score tables under ``weights``.
 
@@ -157,8 +162,7 @@ def fuse(dataset, weights: WeightVector) -> FusedScores:
         raise InvalidWeightsError(
             f"fuse expects normalized weights; got sum {total!r}"
         )
-    fused = (weights.values[:, None, None] * dataset.stack).sum(axis=0)
-    return FusedScores(dataset.sample_ids, fused)
+    return FusedScores(dataset.sample_ids, combine(weights.values, dataset.stack))
 
 
 def predict(fused_scores: FusedScores) -> Predictions:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fusion import WeightVector, normalize
+from .fusion import WeightVector, combine, exact_simplex
 
 POSITIVE_CLASS = 1
 OBJECTIVE_VARIANTS = ("fused_accuracy", "score_mass")
@@ -96,10 +96,19 @@ def metrics(counts: ConfusionCounts) -> MetricsReport:
     return MetricsReport(precision, recall, f1_score(precision, recall), accuracy, counts)
 
 
-def _check_variant(variant: str) -> None:
+def check_variant(variant: str) -> None:
+    """Reject an objective variant name outside ``OBJECTIVE_VARIANTS``."""
     if variant not in OBJECTIVE_VARIANTS:
         raise ConfigError(
             f"unknown objective variant '{variant}'; expected one of {', '.join(OBJECTIVE_VARIANTS)}"
+        )
+
+
+def _check_inputs(dataset, variant: str) -> None:
+    check_variant(variant)
+    if dataset.split != "validation":
+        raise DataError(
+            f"the objective is defined on the validation split, got '{dataset.split}'"
         )
 
 
@@ -109,15 +118,8 @@ def cumulative_accuracy(dataset, weights: WeightVector, variant: str = "fused_ac
     Weights are normalized here, so any positive scaling of the raw vector
     scores identically under ``fused_accuracy``.
     """
-    _check_variant(variant)
-    if dataset.split != "validation":
-        raise DataError(
-            f"cumulative accuracy is defined on the validation split, got '{dataset.split}'"
-        )
-    w = normalize(weights)
-    # Inline fusion (same arithmetic as fusion.fuse) keeps this hot path
-    # allocation-light; equivalence with fuse/predict is covered by tests.
-    fused = (w.values[:, None, None] * dataset.stack).sum(axis=0)
+    _check_inputs(dataset, variant)
+    fused = combine(exact_simplex(weights.values), dataset.stack)
     if variant == "fused_accuracy":
         return float(np.mean(np.argmax(fused, axis=1) == dataset.y))
     return float(np.mean(fused[np.arange(dataset.num_samples), dataset.y]))
@@ -130,11 +132,7 @@ def cumulative_error(dataset, weights: WeightVector, variant: str = "fused_accur
 
 def make_objective(dataset, variant: str = "fused_accuracy") -> Callable[[np.ndarray], float]:
     """Bind a dataset and variant into a raw-vector objective for optimizers."""
-    _check_variant(variant)
-    if dataset.split != "validation":
-        raise DataError(
-            f"objectives are defined on the validation split, got '{dataset.split}'"
-        )
+    _check_inputs(dataset, variant)
 
     def objective(raw: np.ndarray) -> float:
         return cumulative_error(dataset, WeightVector(raw), variant)

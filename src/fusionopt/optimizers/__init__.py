@@ -30,14 +30,12 @@ from .common import (
     rng_stream,
     simplex_grid_size,
     write_result_json,
-    write_trace_csv,
 )
 
 __all__ = [
     "METHODS", "STOCHASTIC_METHODS", "DEFAULT_GRID_STEP", "DEFAULT_MAX_EVALUATIONS",
-    "OptimizerConfig", "OptResult", "optimize",
-    "brute_force", "pso", "genetic", "powell", "nelder_mead",
-    "result_to_dict", "result_to_json", "write_result_json", "write_trace_csv",
+    "OptimizerConfig", "OptResult", "optimize", "brute_force",
+    "result_to_dict", "result_to_json", "write_result_json",
     "rng_stream", "simplex_grid_size", "EvaluationTracker", "BudgetExhausted",
 ]
 
@@ -70,11 +68,6 @@ def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
     return tracker.result(config.method, config.seed)
 
 
-def _require_method(config: OptimizerConfig, method: str) -> None:
-    if config.method != method:
-        raise ConfigError(f"config is for method '{config.method}', expected '{method}'")
-
-
 def brute_force(objective, n_models: int, grid_step: float = DEFAULT_GRID_STEP,
                 extra_points=(), max_evaluations: int = DEFAULT_MAX_EVALUATIONS) -> OptResult:
     """Exhaustive grid search; ``extra_points`` join the candidate set."""
@@ -87,23 +80,3 @@ def brute_force(objective, n_models: int, grid_step: float = DEFAULT_GRID_STEP,
     except BudgetExhausted:
         pass
     return tracker.result("bf", None)
-
-
-def pso(objective, n_models: int, config: OptimizerConfig) -> OptResult:
-    _require_method(config, "pso")
-    return optimize(objective, n_models, config)
-
-
-def genetic(objective, n_models: int, config: OptimizerConfig) -> OptResult:
-    _require_method(config, "ga")
-    return optimize(objective, n_models, config)
-
-
-def powell(objective, n_models: int, config: OptimizerConfig) -> OptResult:
-    _require_method(config, "powell")
-    return optimize(objective, n_models, config)
-
-
-def nelder_mead(objective, n_models: int, config: OptimizerConfig) -> OptResult:
-    _require_method(config, "nelder-mead")
-    return optimize(objective, n_models, config)

@@ -89,16 +89,16 @@ def rng_stream(seed: int, *site: int) -> np.random.Generator:
     )
 
 
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"parameter '{name}' must be an integer")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ConfigError(f"parameter '{name}' must be an integer, got {value!r}")
-        value = int(value)
-    if not isinstance(value, int):
-        raise ConfigError(f"parameter '{name}' must be an integer, got {value!r}")
-    return value
+def _as_param(value, name: str) -> int | float:
+    """Convert one parameter override to its type, naming it on failure."""
+    kind = "an integer" if name in _INT_PARAMS else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"parameter '{name}' must be {kind}, got {value!r}")
+    if name not in _INT_PARAMS:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"parameter '{name}' must be {kind}, got {value!r}")
+    return int(value)
 
 
 def _validate_params(method: str, params: dict[str, float]) -> dict[str, float]:
@@ -163,6 +163,7 @@ class OptimizerConfig:
     max_evaluations: int = DEFAULT_MAX_EVALUATIONS
     grid_step: float = DEFAULT_GRID_STEP
     params: Mapping[str, float] = field(default_factory=dict)
+    _resolved: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -180,7 +181,8 @@ class OptimizerConfig:
             )
         if not isinstance(self.max_evaluations, int) or self.max_evaluations < 1:
             raise ConfigError("max_evaluations must be a positive integer")
-        if not (isinstance(self.grid_step, (int, float)) and 0.0 < self.grid_step <= 1.0):
+        if (isinstance(self.grid_step, bool) or not isinstance(self.grid_step, (int, float))
+                or not 0.0 < self.grid_step <= 1.0):
             raise ConfigError(f"grid_step must lie in (0, 1], got {self.grid_step!r}")
         if self.method == "bf":
             steps = round(1.0 / self.grid_step)
@@ -188,6 +190,8 @@ class OptimizerConfig:
                 raise ConfigError(
                     f"grid_step {self.grid_step!r} must divide 1 into a whole number of steps"
                 )
+        if not isinstance(self.params, Mapping):
+            raise ConfigError(f"params must map parameter names to values, got {self.params!r}")
         defaults = _METHOD_DEFAULTS[self.method]
         unknown = sorted(set(self.params) - set(defaults))
         if unknown:
@@ -196,16 +200,14 @@ class OptimizerConfig:
             )
         merged = dict(defaults)
         for key, value in self.params.items():
-            merged[key] = _as_int(value, key) if key in _INT_PARAMS else float(value)
+            merged[key] = _as_param(value, key)
         _validate_params(self.method, merged)
         object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "_resolved", merged)
 
     def resolved(self) -> dict[str, float]:
         """Defaults overlaid with this config's overrides."""
-        merged = dict(_METHOD_DEFAULTS[self.method])
-        for key, value in self.params.items():
-            merged[key] = _as_int(value, key) if key in _INT_PARAMS else float(value)
-        return merged
+        return dict(self._resolved)
 
     def grid_steps(self) -> int:
         return round(1.0 / self.grid_step)
@@ -248,12 +250,19 @@ def write_result_json(result: OptResult, path) -> None:
     path.write_text(result_to_json(result), encoding="utf-8")
 
 
-def write_trace_csv(result: OptResult, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["evaluation,best_error"]
-    lines += [f"{i},{repr(float(e))}" for i, e in result.trace]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def rank_key(error: float, candidate) -> tuple:
+    """The tie rule: lower error first, then the lexicographically smaller vector."""
+    return (error, tuple(candidate))
+
+
+def better(error: float, candidate, best_error: float, best) -> bool:
+    """Whether ``candidate`` ranks before ``best`` under :func:`rank_key`.
+
+    Errors are compared first, so the tuples are built only on a tie.
+    """
+    if error != best_error:
+        return error < best_error
+    return rank_key(error, candidate) < rank_key(best_error, best)
 
 
 class BudgetExhausted(Exception):
@@ -288,8 +297,8 @@ class EvaluationTracker:
             self.best_error = error
             self.best_raw = raw.copy()
             self.trace.append((self.evaluations, error))
-        elif error == self.best_error and tuple(raw) < tuple(self.best_raw):
-            self.best_raw = raw.copy()
+        elif better(error, raw, self.best_error, self.best_raw):
+            self.best_raw = raw.copy()  # a tie moves the vector, not the trace
         return error
 
     def result(self, method: str, seed: int | None) -> OptResult:
@@ -305,14 +314,6 @@ class EvaluationTracker:
             evaluations=self.evaluations,
             trace=tuple(self.trace),
         )
-
-
-def lexicographic_better(error: float, candidate: np.ndarray,
-                         best_error: float, best: np.ndarray) -> bool:
-    """Shared tie rule: lower error wins, equal errors go to the smaller vector."""
-    if error < best_error:
-        return True
-    return error == best_error and tuple(candidate) < tuple(best)
 
 
 def simplex_grid_size(steps: int, n_models: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import EvaluationTracker, rng_stream
+from .common import EvaluationTracker, rank_key, rng_stream
 
 _SITE_INIT = 0
 _SITE_GENERATION_BASE = 1
@@ -19,7 +19,7 @@ _SITE_GENERATION_BASE = 1
 
 def _tournament(rng, population, errors, size: int) -> np.ndarray:
     contenders = rng.integers(0, len(population), size=size)
-    winner = min(contenders, key=lambda i: (errors[i], tuple(population[i])))
+    winner = min(contenders, key=lambda i: rank_key(errors[i], population[i]))
     return population[winner].copy()
 
 
@@ -40,7 +40,7 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
     stalled = 0
     for generation in range(generations):
         rng = rng_stream(seed, _SITE_GENERATION_BASE + generation)
-        ranked = sorted(range(pop_size), key=lambda i: (errors[i], tuple(population[i])))
+        ranked = sorted(range(pop_size), key=lambda i: rank_key(errors[i], population[i]))
         elites = [population[i].copy() for i in ranked[:elitism]]
         elite_errors = [float(errors[i]) for i in ranked[:elitism]]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import EvaluationTracker
+from .common import EvaluationTracker, rank_key
 
 
 def initial_simplex(n_models: int, offset: float) -> list[np.ndarray]:
@@ -40,7 +40,7 @@ def run(tracker: EvaluationTracker, n_models: int, params: dict, on_iteration=No
     errors = [tracker.evaluate(v) for v in vertices]
 
     for _ in range(max_iterations):
-        order = sorted(range(len(vertices)), key=lambda i: (errors[i], tuple(vertices[i])))
+        order = sorted(range(len(vertices)), key=lambda i: rank_key(errors[i], vertices[i]))
         vertices = [vertices[i] for i in order]
         errors = [errors[i] for i in order]
         if errors[-1] - errors[0] < tolerance:

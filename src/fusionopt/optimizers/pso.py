@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import EvaluationTracker, lexicographic_better, rng_stream
+from .common import EvaluationTracker, better, rank_key, rng_stream
 
 _SITE_INIT_POSITIONS = 0
 _SITE_INIT_VELOCITIES = 1
@@ -36,7 +36,7 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
         personal_error[j] = tracker.evaluate(positions[j])
 
     best_j = min(
-        range(swarm_size), key=lambda j: (personal_error[j], tuple(personal_best[j]))
+        range(swarm_size), key=lambda j: rank_key(personal_error[j], personal_best[j])
     )
     global_best = personal_best[best_j].copy()
     global_error = float(personal_error[best_j])
@@ -54,9 +54,9 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
         positions = np.clip(positions + velocities, 0.0, 1.0)
         for j in range(swarm_size):
             error = tracker.evaluate(positions[j])
-            if lexicographic_better(error, positions[j], personal_error[j], personal_best[j]):
+            if better(error, positions[j], personal_error[j], personal_best[j]):
                 personal_error[j] = error
                 personal_best[j] = positions[j]
-                if lexicographic_better(error, positions[j], global_error, global_best):
+                if better(error, positions[j], global_error, global_best):
                     global_error = error
                     global_best = positions[j].copy()

@@ -22,8 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError, FusionOptError
 from .fusion import exact_simplex
+from .objective import check_variant
+from .optimizers.common import DEFAULT_GRID_STEP, OptimizerConfig
 
 ROW_SUM_TOLERANCE = 1e-6
 SPLITS = ("validation", "test")
@@ -37,7 +39,8 @@ class ScoreMatrix:
     Rows must lie on the probability simplex within ``ROW_SUM_TOLERANCE``
     (classifier exports are rarely exact) and are renormalized on
     construction so downstream arithmetic sees rows that sum to exactly 1.0
-    under compensated summation.
+    under compensated summation. This is the one place score values are
+    checked; a failing row raises a :class:`DataError` carrying its index.
     """
 
     model_id: str
@@ -61,22 +64,28 @@ class ScoreMatrix:
         if len(set(ids)) != n:
             dup = _first_duplicate(ids)
             raise DataError(f"model '{self.model_id}': duplicate sample_id '{dup}'")
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"model '{self.model_id}': non-finite score value")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DataError(f"model '{self.model_id}': score outside [0, 1]")
+        outside = ~((arr >= 0.0) & (arr <= 1.0))  # also catches nan
+        if outside.any():
+            i, j = (int(x) for x in np.argwhere(outside)[0])
+            reason = f"value {float(arr[i, j])!r} outside [0, 1] in column 'class_{j}'"
+            raise self._row_error(ids, i, reason)
         for i in range(n):
-            row_sum = math.fsum(arr[i].tolist())
+            row = arr[i].tolist()
+            row_sum = math.fsum(row)
             if abs(row_sum - 1.0) > ROW_SUM_TOLERANCE:
-                raise DataError(
-                    f"model '{self.model_id}': row for sample '{ids[i]}' sums to "
-                    f"{row_sum!r}, expected 1 within {ROW_SUM_TOLERANCE}"
+                raise self._row_error(
+                    ids, i, f"row sums to {row_sum!r}, expected 1 within {ROW_SUM_TOLERANCE}"
                 )
             if row_sum != 1.0:
-                arr[i] = exact_simplex(arr[i])
+                arr[i] = exact_simplex(row)
         arr.setflags(write=False)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "scores", arr)
+
+    def _row_error(self, ids, row: int, reason: str) -> DataError:
+        return DataError(
+            f"model '{self.model_id}', sample '{ids[row]}': {reason}", row=row, reason=reason
+        )
 
     @property
     def num_samples(self) -> int:
@@ -183,9 +192,14 @@ def _first_duplicate(ids):
 
 
 def load_scores(path, model_id: str | None = None) -> ScoreMatrix:
-    """Read a score CSV, reporting the offending line on any violation."""
+    """Read a score CSV, reporting the offending line on any violation.
+
+    Text-level checks (header, field count, numeric parse, duplicate id)
+    happen here; value checks happen in :class:`ScoreMatrix`, whose row
+    errors are restated with the line they were read from.
+    """
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DataError(f"{path}:1: missing header")
@@ -214,26 +228,23 @@ def load_scores(path, model_id: str | None = None) -> ScoreMatrix:
         values = []
         for col, cell in enumerate(row[1:]):
             try:
-                v = float(cell)
+                values.append(float(cell))
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: non-numeric value {cell!r} in column '{header[col + 1]}'"
                 ) from None
-            if not math.isfinite(v) or v < 0.0 or v > 1.0:
-                raise DataError(
-                    f"{path}:{lineno}: value {cell!r} outside [0, 1] in column '{header[col + 1]}'"
-                )
-            values.append(v)
-        row_sum = math.fsum(values)
-        if abs(row_sum - 1.0) > ROW_SUM_TOLERANCE:
-            raise DataError(
-                f"{path}:{lineno}: row sums to {row_sum!r}, expected 1 within {ROW_SUM_TOLERANCE}"
-            )
         ids.append(sid)
         data.append(values)
     if not ids:
         raise DataError(f"{path}: no samples")
-    return ScoreMatrix(model_id if model_id is not None else path.stem, tuple(ids), np.array(data))
+    try:
+        return ScoreMatrix(
+            model_id if model_id is not None else path.stem, tuple(ids), np.array(data)
+        )
+    except DataError as exc:
+        if exc.row is None:
+            raise
+        raise DataError(f"{path}:{seen[ids[exc.row]]}: {exc.reason}") from None
 
 
 def write_scores(matrix: ScoreMatrix, path) -> None:
@@ -249,7 +260,7 @@ def write_scores(matrix: ScoreMatrix, path) -> None:
 
 def load_labels(path) -> LabelVector:
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DataError(f"{path}:1: missing header")
@@ -295,7 +306,7 @@ def write_labels(labels: LabelVector, path) -> None:
 def read_id_list(path) -> tuple[str, ...]:
     """Read a newline-separated sample_id list; blank lines are skipped."""
     path = Path(path)
-    ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+    ids = [line.strip() for line in path.read_text(encoding="utf-8-sig").splitlines()]
     ids = [s for s in ids if s]
     if not ids:
         raise DataError(f"{path}: no sample ids")
@@ -385,9 +396,7 @@ class Manifest:
 
 
 def load_manifest(path) -> Manifest:
-    from .objective import OBJECTIVE_VARIANTS
-    from .optimizers.common import METHODS, STOCHASTIC_METHODS
-
+    """Read and check a manifest; its search settings go through :class:`OptimizerConfig`."""
     path = Path(path)
     base = path.parent
     try:
@@ -419,31 +428,15 @@ def load_manifest(path) -> Manifest:
         raise ConfigError(f"{path}: duplicate model id '{_first_duplicate(ids)}'")
 
     method = str(raw["method"])
-    if method not in METHODS:
-        raise ConfigError(f"{path}: unknown method '{method}'; expected one of {', '.join(METHODS)}")
-
     seed = raw.get("seed")
-    if seed is not None:
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-            raise ConfigError(f"{path}: seed must be an unsigned 64-bit integer")
-    if seed is None and method in STOCHASTIC_METHODS:
-        raise UsageError(
-            f"{path}: method '{method}' is stochastic and requires an explicit seed"
-        )
-
     params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}: 'params' must be an object")
-
-    grid_step = raw.get("grid_step", 0.05)
-    if isinstance(grid_step, bool) or not isinstance(grid_step, (int, float)):
-        raise ConfigError(f"{path}: grid_step must be a number")
-
+    grid_step = raw.get("grid_step", DEFAULT_GRID_STEP)
     objective = str(raw.get("objective", "fused_accuracy"))
-    if objective not in OBJECTIVE_VARIANTS:
-        raise ConfigError(
-            f"{path}: unknown objective '{objective}'; expected one of {', '.join(OBJECTIVE_VARIANTS)}"
-        )
+    try:
+        OptimizerConfig(method=method, seed=seed, grid_step=grid_step, params=params)
+        check_variant(objective)
+    except FusionOptError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
     validation_ids_path = raw.get("validation_ids_path")
     if validation_ids_path is not None:
@@ -460,15 +453,10 @@ def load_manifest(path) -> Manifest:
         objective=objective,
         validation_ids_path=validation_ids_path,
     )
-    for _, scores_path in manifest.models:
-        if not scores_path.exists():
-            raise FileNotFoundError(f"manifest references missing file: {scores_path}")
-    if not manifest.labels_path.exists():
-        raise FileNotFoundError(f"manifest references missing file: {manifest.labels_path}")
-    if manifest.validation_ids_path is not None and not manifest.validation_ids_path.exists():
-        raise FileNotFoundError(
-            f"manifest references missing file: {manifest.validation_ids_path}"
-        )
+    referenced = [p for _, p in manifest.models] + [manifest.labels_path, validation_ids_path]
+    for ref in referenced:
+        if ref is not None and not ref.exists():
+            raise FileNotFoundError(f"manifest references missing file: {ref}")
     return manifest
 
 

@@ -290,6 +290,18 @@ class TestManifestEdges:
         assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 7
 
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    @pytest.mark.parametrize("value", ["fast", None])
+    def test_non_numeric_param_exits_one_naming_it(self, tmp_path, capsys, command, value):
+        manifest = _write_corpus(
+            tmp_path / "c", tiered_dataset(6, n_samples=20),
+            manifest_extra={"method": "pso", "params": {"inertia": value}})
+        code = main([command, "--manifest", str(manifest), "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "inertia" in err
+        assert "Traceback" not in err
+
     def test_optimize_defaults_to_manifest_output_path(self, tmp_path, capsys):
         root = tmp_path / "c"
         manifest = _write_corpus(root, tiered_dataset(8, n_samples=30),

@@ -1,7 +1,8 @@
 """Byte-level pins on the bundled corpus's deterministic outputs.
 
 The files under ``tests/golden/`` were written by ``fusionopt compare`` and
-``fusionopt optimize --method <m> --seed 42`` on ``data/synthetic``. Any
+``fusionopt optimize --method <m> --seed 42`` on ``data/synthetic``; the
+result JSON ``compare`` writes per method must equal ``optimize``'s. Any
 change to the fusion arithmetic, the tie rule, a search method or the
 report/JSON formatting shows up here as a byte difference.
 """
@@ -17,10 +18,13 @@ BUNDLED_MANIFEST = REPO_ROOT / "data" / "synthetic" / "manifest.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_compare_csv_is_byte_identical(tmp_path):
+def test_compare_outputs_are_byte_identical(tmp_path):
     out = tmp_path / "compare.csv"
     assert main(["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "compare.csv").read_bytes()
+    for method in COMPARISON_ORDER:
+        written = (tmp_path / f"compare.{method}.json").read_bytes()
+        assert written == (GOLDEN / f"optimize.{method}.json").read_bytes(), method
 
 
 @pytest.mark.parametrize("method", COMPARISON_ORDER)

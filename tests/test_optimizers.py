@@ -11,14 +11,9 @@ from fusionopt.optimizers import (
     METHODS,
     OptimizerConfig,
     brute_force,
-    genetic,
-    nelder_mead,
     optimize,
-    powell,
-    pso,
     result_to_json,
     simplex_grid_size,
-    write_trace_csv,
 )
 from fusionopt.optimizers.common import EvaluationTracker
 from fusionopt.optimizers.nelder_mead import run as nm_run
@@ -129,6 +124,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="integer"):
             OptimizerConfig(method="pso", seed=1, params={"swarm_size": 10.5})
 
+    @pytest.mark.parametrize("value", ["fast", None, True, [0.5]])
+    def test_float_param_rejects_non_numbers(self, value):
+        with pytest.raises(ConfigError, match="inertia"):
+            OptimizerConfig(method="pso", seed=1, params={"inertia": value})
+
     def test_integral_float_param_accepted(self):
         cfg = OptimizerConfig(method="pso", seed=1, params={"swarm_size": 10.0})
         assert cfg.resolved()["swarm_size"] == 10
@@ -229,16 +229,6 @@ class TestOptimizeContract:
     def test_zero_models_rejected(self):
         with pytest.raises(ConfigError):
             optimize(v_landscape, 0, OptimizerConfig(method="bf"))
-
-    def test_wrapper_functions_check_method(self):
-        cfg = OptimizerConfig(method="pso", seed=1)
-        with pytest.raises(ConfigError):
-            genetic(v_landscape, 2, cfg)
-        with pytest.raises(ConfigError):
-            powell(v_landscape, 2, cfg)
-        with pytest.raises(ConfigError):
-            nelder_mead(v_landscape, 2, cfg)
-        assert pso(v_landscape, 2, cfg).best_error <= 1e-3
 
 
 def vertex_landscape(raw):
@@ -429,17 +419,6 @@ class TestNelderMead:
 
 
 class TestTraceSerialization:
-    def test_trace_csv_format(self, tmp_path):
-        result = optimize(v_landscape, 2, _small_cfg("pso"))
-        out = tmp_path / "trace.csv"
-        write_trace_csv(result, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "evaluation,best_error"
-        assert len(lines) == 1 + len(result.trace)
-        first_index, first_error = lines[1].split(",")
-        assert int(first_index) == result.trace[0][0]
-        assert float(first_error) == result.trace[0][1]
-
     def test_result_json_fields(self):
         import json
 

@@ -81,6 +81,16 @@ class TestLoadScores:
         with pytest.raises(DataError, match=r"outside \[0, 1\]"):
             load_scores(path)
 
+    # A blank line sits before the bad row, so its line number is not its
+    # row index plus a fixed offset.
+    @pytest.mark.parametrize("cell", ["nan", "1.5", "-0.5", "inf"])
+    def test_value_errors_name_their_line(self, tmp_path, cell):
+        path = _write(tmp_path, "m.csv",
+                      f"sample_id,class_0,class_1\ns1,0.8,0.2\n\ns2,0.3,{cell}\n")
+        with pytest.raises(DataError,
+                           match=r"m\.csv:4: value .* outside \[0, 1\] in column 'class_1'"):
+            load_scores(path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_scores(tmp_path / "absent.csv")
@@ -247,6 +257,33 @@ class TestIdList:
             read_id_list(path)
 
 
+class TestByteOrderMark:
+    """A UTF-8 BOM, as some spreadsheet exports write it, changes nothing."""
+
+    def _pair(self, tmp_path, name, text):
+        plain = _write(tmp_path, name, text)
+        marked = tmp_path / f"bom-{name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        return plain, marked
+
+    def test_score_csv(self, tmp_path):
+        plain, marked = self._pair(tmp_path, "m.csv",
+                                   "sample_id,class_0,class_1\ns1,0.8,0.2\ns2,0.3,0.7\n")
+        a, b = load_scores(plain, model_id="m"), load_scores(marked, model_id="m")
+        assert a.sample_ids == b.sample_ids
+        np.testing.assert_array_equal(a.scores, b.scores)
+
+    def test_labels_csv(self, tmp_path):
+        plain, marked = self._pair(tmp_path, "labels.csv", "sample_id,label\ns1,0\ns2,1\n")
+        a, b = load_labels(plain), load_labels(marked)
+        assert a.sample_ids == b.sample_ids
+        np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_id_list(self, tmp_path):
+        plain, marked = self._pair(tmp_path, "ids.txt", "s1\ns2\n")
+        assert read_id_list(marked) == read_id_list(plain) == ("s1", "s2")
+
+
 def _manifest_files(tmp_path):
     _write(tmp_path, "m1.csv", "sample_id,class_0,class_1\ns1,0.8,0.2\ns2,0.3,0.7\n")
     _write(tmp_path, "labels.csv", "sample_id,label\ns1,0\ns2,1\n")
@@ -320,6 +357,22 @@ class TestManifest:
         body = self._base(models=[{"id": "m1", "scores_path": "m1.csv", "extra": 1}])
         path = _write(tmp_path, "manifest.json", json.dumps(body))
         with pytest.raises(ConfigError, match="model entry"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"method": "pso", "seed": 1, "params": {"swarm_size": 1}}, "swarm_size"),
+        ({"params": {"inertia": 0.5}}, "does not accept"),
+        ({"params": [1]}, "params"),
+        ({"grid_step": True}, "grid_step"),
+        ({"grid_step": 0.3}, "whole number"),
+        ({"seed": -1}, "seed"),
+        ({"objective": "recall"}, "recall"),
+    ])
+    def test_search_settings_rejected_with_path(self, tmp_path, overrides, message):
+        import json
+        _manifest_files(tmp_path)
+        path = _write(tmp_path, "manifest.json", json.dumps(self._base(**overrides)))
+        with pytest.raises(ConfigError, match=rf"manifest\.json: .*{message}"):
             load_manifest(path)
 
 
