@@ -58,11 +58,13 @@ class WeightVector:
         arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidWeightsError("weights must form a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
+        # Python floats: cheaper than numpy reductions on an M-vector.
+        vals = arr.tolist()
+        if not all(map(math.isfinite, vals)):
             raise InvalidWeightsError("weights contain non-finite entries")
-        if np.any(arr < 0.0):
+        if min(vals) < 0.0:
             raise InvalidWeightsError("weights contain negative entries")
-        if not np.any(arr > 0.0):
+        if max(vals) == 0.0:
             raise InvalidWeightsError("weights are all zero")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .fusion import WeightVector, combine, exact_simplex
+from .errors import ConfigError, DataError, InvalidWeightsError
+from .fusion import WeightVector, exact_simplex
 
 POSITIVE_CLASS = 1
 OBJECTIVE_VARIANTS = ("fused_accuracy", "score_mass")
@@ -104,12 +104,46 @@ def check_variant(variant: str) -> None:
         )
 
 
-def _check_inputs(dataset, variant: str) -> None:
-    check_variant(variant)
-    if dataset.split != "validation":
-        raise DataError(
-            f"the objective is defined on the validation split, got '{dataset.split}'"
-        )
+class _Scorer:
+    """Cumulative accuracy of raw weight vectors on one validation split.
+
+    The data is laid out once: a class-major copy of the stack, shape
+    (M, K, N), the flat index of each sample's true-class entry, and a (K, N)
+    mask of the classes below each sample's label. A call then only fuses
+    and compares. ``fused`` is ``w[0]*C[0] + w[1]*C[1] + ...`` summed in model
+    order, the same products and sums as :func:`fusion.combine`, so every
+    fused value is bit-identical to :func:`fusion.fuse`'s. A sample counts as
+    right under the argmax rule, ties going to the lowest class, when no
+    class scores above its true class and no lower class scores the same.
+    """
+
+    def __init__(self, dataset, variant: str):
+        check_variant(variant)
+        if dataset.split != "validation":
+            raise DataError(
+                f"the objective is defined on the validation split, got '{dataset.split}'"
+            )
+        n = dataset.num_samples
+        y = dataset.y
+        self._variant = variant
+        self._classes = np.ascontiguousarray(dataset.stack.transpose(0, 2, 1))
+        self._true = y * n + np.arange(n)
+        self._below = np.arange(dataset.num_classes)[:, None] < y
+
+    def __call__(self, raw) -> float:
+        values = WeightVector(raw).values
+        classes = self._classes
+        if values.size != len(classes):
+            raise InvalidWeightsError(f"got {values.size} weights for {len(classes)} models")
+        weights = exact_simplex(values)
+        fused = weights[0] * classes[0]
+        for w, table in zip(weights[1:], classes[1:]):
+            fused += w * table
+        true = fused.reshape(-1).take(self._true)
+        if self._variant == "score_mass":
+            return float(np.mean(true))
+        wrong = ((fused > true) | (self._below & (fused >= true))).any(axis=0)
+        return (true.size - int(np.count_nonzero(wrong))) / true.size
 
 
 def cumulative_accuracy(dataset, weights: WeightVector, variant: str = "fused_accuracy") -> float:
@@ -118,11 +152,7 @@ def cumulative_accuracy(dataset, weights: WeightVector, variant: str = "fused_ac
     Weights are normalized here, so any positive scaling of the raw vector
     scores identically under ``fused_accuracy``.
     """
-    _check_inputs(dataset, variant)
-    fused = combine(exact_simplex(weights.values), dataset.stack)
-    if variant == "fused_accuracy":
-        return float(np.mean(np.argmax(fused, axis=1) == dataset.y))
-    return float(np.mean(fused[np.arange(dataset.num_samples), dataset.y]))
+    return _Scorer(dataset, variant)(weights.values)
 
 
 def cumulative_error(dataset, weights: WeightVector, variant: str = "fused_accuracy") -> float:
@@ -132,9 +162,9 @@ def cumulative_error(dataset, weights: WeightVector, variant: str = "fused_accur
 
 def make_objective(dataset, variant: str = "fused_accuracy") -> Callable[[np.ndarray], float]:
     """Bind a dataset and variant into a raw-vector objective for optimizers."""
-    _check_inputs(dataset, variant)
+    scorer = _Scorer(dataset, variant)
 
     def objective(raw: np.ndarray) -> float:
-        return cumulative_error(dataset, WeightVector(raw), variant)
+        return 1.0 - scorer(raw)
 
     return objective

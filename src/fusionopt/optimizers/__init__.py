@@ -8,6 +8,8 @@ Identical configurations, seed included, reproduce results bit-identically.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -39,12 +41,14 @@ __all__ = [
     "rng_stream", "simplex_grid_size", "EvaluationTracker", "BudgetExhausted",
 ]
 
+logger = logging.getLogger(__name__)
 
-def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
-    """Run the configured method on ``objective`` over M raw weights.
 
-    ``objective`` maps a raw nonnegative weight vector to an error in [0, 1]
-    and must normalize internally (see :func:`fusionopt.objective.make_objective`).
+def _run(objective, n_models: int, config: OptimizerConfig, extra_points=()) -> OptResult:
+    """The one search runner: tracker, method dispatch, budget and result.
+
+    A search the budget cuts off keeps its best candidate so far and logs a
+    warning, so it cannot pass for a finished one.
     """
     if n_models < 1:
         raise ConfigError("need at least one model to optimize over")
@@ -54,7 +58,7 @@ def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
         if config.method == "equal":
             tracker.evaluate(np.full(n_models, 1.0 / n_models))
         elif config.method == "bf":
-            _brute_force.run(tracker, n_models, config.grid_steps())
+            _brute_force.run(tracker, n_models, config.grid_steps(), extra_points)
         elif config.method == "pso":
             _pso.run(tracker, n_models, config.seed, params)
         elif config.method == "ga":
@@ -64,19 +68,22 @@ def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
         else:  # nelder-mead; config validation rejects anything else
             _nelder_mead.run(tracker, n_models, params)
     except BudgetExhausted:
-        pass
+        logger.warning("method '%s' stopped at max_evaluations=%d before its search finished",
+                       config.method, config.max_evaluations)
     return tracker.result(config.method, config.seed)
+
+
+def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
+    """Run the configured method on ``objective`` over M raw weights.
+
+    ``objective`` maps a raw nonnegative weight vector to an error in [0, 1]
+    and must normalize internally (see :func:`fusionopt.objective.make_objective`).
+    """
+    return _run(objective, n_models, config)
 
 
 def brute_force(objective, n_models: int, grid_step: float = DEFAULT_GRID_STEP,
                 extra_points=(), max_evaluations: int = DEFAULT_MAX_EVALUATIONS) -> OptResult:
     """Exhaustive grid search; ``extra_points`` join the candidate set."""
     config = OptimizerConfig(method="bf", grid_step=grid_step, max_evaluations=max_evaluations)
-    if n_models < 1:
-        raise ConfigError("need at least one model to optimize over")
-    tracker = EvaluationTracker(objective, config.max_evaluations)
-    try:
-        _brute_force.run(tracker, n_models, config.grid_steps(), extra_points)
-    except BudgetExhausted:
-        pass
-    return tracker.result("bf", None)
+    return _run(objective, n_models, config, extra_points)

@@ -14,7 +14,7 @@ from fusionopt.objective import (
     make_objective,
     metrics,
 )
-from fusionopt.scoreio import LabelVector
+from fusionopt.scoreio import LabelVector, ScoreMatrix, align
 
 from synthdata import hand_dataset, random_dataset
 
@@ -58,6 +58,15 @@ class TestCumulativeAccuracy:
         with pytest.raises(DataError, match="validation"):
             cumulative_accuracy(ds, WeightVector(np.array([1.0, 1.0, 1.0])))
 
+    @pytest.mark.parametrize("values", [[1.0], [0.5, 0.5], [1.0, 1.0, 1.0, 1.0]])
+    def test_rejects_wrong_number_of_weights(self, values):
+        ds = random_dataset(np.random.default_rng(3), n_models=3)
+        message = f"got {len(values)} weights for 3 models"
+        with pytest.raises(InvalidWeightsError, match=message):
+            cumulative_accuracy(ds, WeightVector(np.array(values)))
+        with pytest.raises(InvalidWeightsError, match=message):
+            make_objective(ds)(np.array(values))
+
     def test_unknown_variant(self):
         ds = hand_dataset()
         with pytest.raises(ConfigError, match="variant"):
@@ -74,6 +83,29 @@ class TestCumulativeAccuracy:
         via_ops = float(np.mean(
             predict(fuse(ds, normalize(w))).predicted == ds.y))
         assert cumulative_accuracy(ds, w) == via_ops
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(2, 4),
+           st.sampled_from([2, 4, 8]))
+    def test_tie_rule_matches_fuse_predict(self, seed, n_models, n_classes, q):
+        # Rows are integer compositions of q over q, so many fused rows hold
+        # exact ties, which the argmax rule breaks toward the lowest class.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        ids = tuple(f"s{i}" for i in range(n))
+        matrices = []
+        for m in range(n_models):
+            cuts = np.sort(rng.integers(0, q + 1, (n, n_classes - 1)), axis=1)
+            counts = np.diff(cuts, prepend=0, append=q)
+            matrices.append(ScoreMatrix(f"m{m}", ids, counts / q))
+        ds = align(matrices, LabelVector(ids, rng.integers(0, n_classes, n)))
+        raw = rng.integers(0, 4, n_models).astype(np.float64)
+        raw[int(rng.integers(n_models))] += 1.0
+        w = WeightVector(raw)
+        fused = fuse(ds, normalize(w))
+        assert cumulative_accuracy(ds, w) == float(np.mean(predict(fused).predicted == ds.y))
+        assert cumulative_accuracy(ds, w, "score_mass") == float(
+            fused.fused[np.arange(n), ds.y].mean())
 
     @settings(max_examples=100)
     @given(st.integers(0, 2 ** 32 - 1), st.floats(1e-6, 1e6))

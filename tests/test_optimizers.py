@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -229,6 +230,22 @@ class TestOptimizeContract:
     def test_zero_models_rejected(self):
         with pytest.raises(ConfigError):
             optimize(v_landscape, 0, OptimizerConfig(method="bf"))
+
+    def test_budget_cut_off_warns(self, caplog):
+        cfg = OptimizerConfig(method="pso", seed=3, max_evaluations=50)
+        with caplog.at_level(logging.WARNING, logger="fusionopt.optimizers"):
+            optimize(v_landscape, 2, cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            "method 'pso' stopped at max_evaluations=50 before its search finished"
+        ]
+
+    def test_finished_search_does_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="fusionopt.optimizers"):
+            optimize(v_landscape, 2, OptimizerConfig(method="equal", max_evaluations=1))
+            optimize(v_landscape, 2, OptimizerConfig(method="bf", grid_step=0.25,
+                                                     max_evaluations=7))
+            brute_force(v_landscape, 2, grid_step=0.5)
+        assert caplog.records == []
 
 
 def vertex_landscape(raw):
