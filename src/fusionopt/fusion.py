@@ -144,8 +144,20 @@ def equal_weights(n_models: int) -> WeightVector:
 
 
 def combine(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """The fusion arithmetic: ``sum_n weights[n] * stack[n]`` over the model axis."""
-    return (weights[:, None, None] * stack).sum(axis=0)
+    """The fusion arithmetic: ``weights[0]*stack[0] + weights[1]*stack[1] + ...``.
+
+    Sums over the leading model axis in model order, whatever the layout of
+    the remaining axes, so every caller gets bit-identical fused values.
+    """
+    if len(weights) != len(stack):
+        raise InvalidWeightsError(f"got {len(weights)} weights for {len(stack)} models")
+    # One buffer for all products: on large tables a fresh temporary per
+    # model costs more than the arithmetic.
+    products = weights[:, None, None] * stack
+    fused = products[0]
+    for table in products[1:]:
+        fused += table
+    return fused
 
 
 def fuse(dataset, weights: WeightVector) -> FusedScores:
@@ -155,16 +167,13 @@ def fuse(dataset, weights: WeightVector) -> FusedScores:
     weights; a unit weight on one model reproduces that model's table
     bit-identically.
     """
-    if len(weights) != dataset.num_models:
-        raise InvalidWeightsError(
-            f"got {len(weights)} weights for {dataset.num_models} models"
-        )
+    fused = combine(weights.values, dataset.stack)
     total = math.fsum(float(v) for v in weights.values)
     if abs(total - 1.0) > 1e-9:
         raise InvalidWeightsError(
             f"fuse expects normalized weights; got sum {total!r}"
         )
-    return FusedScores(dataset.sample_ids, combine(weights.values, dataset.stack))
+    return FusedScores(dataset.sample_ids, fused)
 
 
 def predict(fused_scores: FusedScores) -> Predictions:

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvalidWeightsError
-from .fusion import WeightVector, exact_simplex
+from .errors import ConfigError, DataError
+from .fusion import WeightVector, combine, exact_simplex
 
 POSITIVE_CLASS = 1
 OBJECTIVE_VARIANTS = ("fused_accuracy", "score_mass")
@@ -110,11 +110,11 @@ class _Scorer:
     The data is laid out once: a class-major copy of the stack, shape
     (M, K, N), the flat index of each sample's true-class entry, and a (K, N)
     mask of the classes below each sample's label. A call then only fuses
-    and compares. ``fused`` is ``w[0]*C[0] + w[1]*C[1] + ...`` summed in model
-    order, the same products and sums as :func:`fusion.combine`, so every
-    fused value is bit-identical to :func:`fusion.fuse`'s. A sample counts as
-    right under the argmax rule, ties going to the lowest class, when no
-    class scores above its true class and no lower class scores the same.
+    and compares. :func:`fusion.combine` sums in model order whatever the
+    layout, so the fused (K, N) table is :func:`fusion.fuse`'s, transposed,
+    bit for bit. A sample counts as right under the argmax rule, ties going
+    to the lowest class, when no class scores above its true class and no
+    lower class scores the same.
     """
 
     def __init__(self, dataset, variant: str):
@@ -131,14 +131,8 @@ class _Scorer:
         self._below = np.arange(dataset.num_classes)[:, None] < y
 
     def __call__(self, raw) -> float:
-        values = WeightVector(raw).values
-        classes = self._classes
-        if values.size != len(classes):
-            raise InvalidWeightsError(f"got {values.size} weights for {len(classes)} models")
-        weights = exact_simplex(values)
-        fused = weights[0] * classes[0]
-        for w, table in zip(weights[1:], classes[1:]):
-            fused += w * table
+        weights = exact_simplex(WeightVector(raw).values)
+        fused = combine(weights, self._classes)
         true = fused.reshape(-1).take(self._true)
         if self._variant == "score_mass":
             return float(np.mean(true))
