@@ -2,9 +2,12 @@
 
 The files under ``tests/golden/`` were written by ``fusionopt compare`` and
 ``fusionopt optimize --method <m> --seed 42`` on ``data/synthetic``; the
-result JSON ``compare`` writes per method must equal ``optimize``'s. Any
-change to the fusion arithmetic, the tie rule, a search method or the
-report/JSON formatting shows up here as a byte difference.
+result JSON ``compare`` writes per method must equal ``optimize``'s.
+``fuse.csv`` and ``evaluate.csv`` were written by ``fusionopt fuse`` with
+weights ``3,2,1`` over the three bundled models and ``fusionopt evaluate``
+on that fused CSV. Any change to the fusion arithmetic, the tie rule, a
+search method, the score CSV writer or the report/JSON formatting shows up
+here as a byte difference.
 """
 
 from pathlib import Path
@@ -14,7 +17,8 @@ import pytest
 from fusionopt.cli import COMPARISON_ORDER, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-BUNDLED_MANIFEST = REPO_ROOT / "data" / "synthetic" / "manifest.json"
+BUNDLED = REPO_ROOT / "data" / "synthetic"
+BUNDLED_MANIFEST = BUNDLED / "manifest.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -35,3 +39,17 @@ def test_optimize_json_is_byte_identical(tmp_path, method):
     assert main(argv) == 0
     golden = (GOLDEN / f"optimize.{method}.json").read_bytes()
     assert out.with_suffix(".json").read_bytes() == golden
+
+
+def test_fuse_then_evaluate_is_byte_identical(tmp_path):
+    fused = tmp_path / "fuse.csv"
+    argv = ["fuse", "--labels", str(BUNDLED / "labels.csv"), "--weights", "3,2,1",
+            "--out", str(fused)]
+    for model in ("model_strong", "model_mid", "model_weak"):
+        argv += ["--scores", str(BUNDLED / f"{model}.csv")]
+    assert main(argv) == 0
+    assert fused.read_bytes() == (GOLDEN / "fuse.csv").read_bytes()
+    report = tmp_path / "evaluate.csv"
+    assert main(["evaluate", "--scores", str(fused), "--labels", str(BUNDLED / "labels.csv"),
+                 "--out", str(report)]) == 0
+    assert report.read_bytes() == (GOLDEN / "evaluate.csv").read_bytes()
