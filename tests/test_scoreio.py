@@ -91,6 +91,28 @@ class TestLoadScores:
                            match=r"m\.csv:4: value .* outside \[0, 1\] in column 'class_1'"):
             load_scores(path)
 
+    # Line numbers count CSV records from the header as line 1, blank
+    # records included; the first fault in record order is the one reported.
+    def test_duplicate_reported_before_later_short_row(self, tmp_path):
+        path = _write(tmp_path, "m.csv", "sample_id,class_0,class_1\n"
+                      "s1,0.8,0.2\ns1,0.3,0.7\ns2,0.5,0.5\ns3,0.5\n")
+        with pytest.raises(DataError, match=r"^.*m\.csv:3: duplicate sample_id 's1' "
+                                            r"\(first seen at line 2\)$"):
+            load_scores(path)
+
+    def test_short_row_reported_before_later_non_numeric_cell(self, tmp_path):
+        path = _write(tmp_path, "m.csv", "sample_id,class_0,class_1\n"
+                      "s1,0.8,0.2\ns2,0.3\ns3,oops,0.5\n")
+        with pytest.raises(DataError, match=r"m\.csv:3: expected 3 fields, found 2$"):
+            load_scores(path)
+
+    def test_row_sum_error_after_blank_line_names_its_line(self, tmp_path):
+        path = _write(tmp_path, "m.csv", "sample_id,class_0,class_1\n"
+                      "s1,0.8,0.2\n\ns2,0.5,0.5\ns3,0.4,0.5\n")
+        with pytest.raises(DataError, match=r"m\.csv:5: row sums to 0\.9, expected 1 "
+                                            r"within 1e-06$"):
+            load_scores(path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_scores(tmp_path / "absent.csv")
@@ -114,6 +136,16 @@ class TestRoundTrip:
         out2 = tmp_path / "out2.csv"
         write_scores(b, out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_sample_id_with_comma_and_quote_round_trips(self, tmp_path):
+        ids = ('a,"b"', "plain")
+        matrix = ScoreMatrix("m", ids, [[0.25, 0.75], [0.5, 0.5]])
+        out = tmp_path / "m.csv"
+        write_scores(matrix, out)
+        assert out.read_text(encoding="utf-8").splitlines()[1] == '"a,""b""",0.25,0.75'
+        back = load_scores(out)
+        assert back.sample_ids == ids
+        np.testing.assert_array_equal(back.scores, matrix.scores)
 
     # Each example writes to a distinct file, so reusing tmp_path is safe.
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -233,6 +265,11 @@ class TestLabels:
     def test_non_integer_label(self, tmp_path):
         path = _write(tmp_path, "labels.csv", "sample_id,label\na,1.5\n")
         with pytest.raises(DataError, match=r"labels\.csv:2"):
+            load_labels(path)
+
+    def test_non_integer_label_after_blank_line_names_its_line(self, tmp_path):
+        path = _write(tmp_path, "labels.csv", "sample_id,label\na,0\n\nb,1\nc,x\n")
+        with pytest.raises(DataError, match=r"labels\.csv:5: non-integer label 'x'$"):
             load_labels(path)
 
     def test_negative_label(self, tmp_path):
