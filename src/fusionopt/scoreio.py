@@ -18,6 +18,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ class ScoreMatrix:
     scores: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(str(s) for s in self.sample_ids)
+        ids = tuple(map(str, self.sample_ids))
         arr = np.array(self.scores, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise DataError(f"model '{self.model_id}': scores must be a 2-D table")
@@ -69,15 +70,18 @@ class ScoreMatrix:
             i, j = (int(x) for x in np.argwhere(outside)[0])
             reason = f"value {float(arr[i, j])!r} outside [0, 1] in column 'class_{j}'"
             raise self._row_error(ids, i, reason)
-        for i in range(n):
-            row = arr[i].tolist()
-            row_sum = math.fsum(row)
-            if abs(row_sum - 1.0) > ROW_SUM_TOLERANCE:
-                raise self._row_error(
-                    ids, i, f"row sums to {row_sum!r}, expected 1 within {ROW_SUM_TOLERANCE}"
-                )
-            if row_sum != 1.0:
-                arr[i] = exact_simplex(row)
+        # One exact sum per row; zip over the columns hands fsum one reused
+        # tuple at a time, so no per-row list is built.
+        sums = list(map(math.fsum, zip(*arr.T.tolist())))
+        sums_arr = np.array(sums)
+        too_far = np.abs(sums_arr - 1.0) > ROW_SUM_TOLERANCE
+        if too_far.any():
+            i = int(np.argmax(too_far))
+            raise self._row_error(
+                ids, i, f"row sums to {sums[i]!r}, expected 1 within {ROW_SUM_TOLERANCE}"
+            )
+        for i in np.flatnonzero(sums_arr != 1.0).tolist():
+            arr[i] = exact_simplex(arr[i].tolist())
         arr.setflags(write=False)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "scores", arr)
@@ -104,7 +108,7 @@ class LabelVector:
     labels: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(str(s) for s in self.sample_ids)
+        ids = tuple(map(str, self.sample_ids))
         arr = np.array(self.labels, dtype=np.int64, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise DataError("labels must be a non-empty 1-D vector")
@@ -191,6 +195,108 @@ def _first_duplicate(ids):
     return None
 
 
+def _records(fh):
+    """Yield ``(line, row)`` for each non-blank record after the header.
+
+    ``line`` counts CSV records from the header as line 1, blank records
+    included; a quoted field spanning several text lines is one record.
+    """
+    for lineno, row in enumerate(csv.reader(fh), start=1):
+        if lineno > 1 and row:
+            yield lineno, row
+
+
+def _first_fault(path, width: int, cell_fault) -> DataError:
+    """Describe the first text-level fault of a CSV, in record order.
+
+    The fast read only learns that some record is bad; this walk finds
+    which. Per record it checks the field count, then the sample_id for a
+    duplicate, then ``cell_fault(row)``, which returns a reason or None.
+    """
+    seen: dict[str, int] = {}
+    with path.open(encoding="utf-8-sig", newline="") as fh:
+        for lineno, row in _records(fh):
+            if len(row) != width:
+                return DataError(f"{path}:{lineno}: expected {width} fields, found {len(row)}")
+            sid = row[0]
+            if sid in seen:
+                return DataError(
+                    f"{path}:{lineno}: duplicate sample_id '{sid}' "
+                    f"(first seen at line {seen[sid]})"
+                )
+            seen[sid] = lineno
+            reason = cell_fault(row)
+            if reason is not None:
+                return DataError(f"{path}:{lineno}: {reason}")
+    return DataError(f"{path}: changed while it was read")
+
+
+def _read_table(path, check_header, parse, cell_fault):
+    """Read a sample_id-keyed CSV into its header, sample_ids and parsed cells.
+
+    Records are streamed: the ids gather in one list and the other cells
+    in one flat list of strings, so no per-record list outlives its record.
+    ``parse`` converts the flat list in one go and raises ``ValueError`` on
+    any cell it rejects; that, a field-count mismatch or a duplicate id
+    hands over to :func:`_first_fault`, which names the first bad record.
+    Blank records are skipped.
+    """
+    with path.open(encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}:1: missing header")
+        check_header(header)
+        width = len(header)
+        ids: list[str] = []
+        cells: list[str] = []
+        complete = True
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                complete = False
+                break
+            ids.append(row[0])
+            cells += row[1:]
+    if complete and len(set(ids)) == len(ids):
+        if not ids:
+            raise DataError(f"{path}: no samples")
+        try:
+            return header, ids, parse(cells)
+        except ValueError:
+            pass
+    raise _first_fault(path, width, cell_fault)
+
+
+def _parse_scores(cells) -> np.ndarray:
+    return np.array(list(map(float, cells)))
+
+
+def _score_fault(row) -> str | None:
+    for col, cell in enumerate(row[1:]):
+        try:
+            float(cell)
+        except ValueError:
+            return f"non-numeric value {cell!r} in column 'class_{col}'"
+    return None
+
+
+def _parse_labels(cells) -> np.ndarray:
+    labels = np.array(list(map(int, cells)))
+    if labels.min() < 0:
+        raise ValueError("negative label")
+    return labels
+
+
+def _label_fault(row) -> str | None:
+    try:
+        label = int(row[1])
+    except ValueError:
+        return f"non-integer label {row[1]!r}"
+    return f"negative label {label}" if label < 0 else None
+
+
 def load_scores(path, model_id: str | None = None) -> ScoreMatrix:
     """Read a score CSV, reporting the offending line on any violation.
 
@@ -199,98 +305,52 @@ def load_scores(path, model_id: str | None = None) -> ScoreMatrix:
     errors are restated with the line they were read from.
     """
     path = Path(path)
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}:1: missing header")
-    header = rows[0]
-    expected = ["sample_id"] + [f"class_{i}" for i in range(len(header) - 1)]
-    if len(header) < 3 or header != expected:
-        raise DataError(
-            f"{path}:1: malformed header {header!r}; expected "
-            "'sample_id,class_0,...,class_{K-1}' with K >= 2"
-        )
-    k = len(header) - 1
-    ids: list[str] = []
-    data: list[list[float]] = []
-    seen: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != k + 1:
-            raise DataError(f"{path}:{lineno}: expected {k + 1} fields, found {len(row)}")
-        sid = row[0]
-        if sid in seen:
+
+    def check_header(header):
+        expected = ["sample_id"] + [f"class_{i}" for i in range(len(header) - 1)]
+        if len(header) < 3 or header != expected:
             raise DataError(
-                f"{path}:{lineno}: duplicate sample_id '{sid}' (first seen at line {seen[sid]})"
+                f"{path}:1: malformed header {header!r}; expected "
+                "'sample_id,class_0,...,class_{K-1}' with K >= 2"
             )
-        seen[sid] = lineno
-        values = []
-        for col, cell in enumerate(row[1:]):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: non-numeric value {cell!r} in column '{header[col + 1]}'"
-                ) from None
-        ids.append(sid)
-        data.append(values)
-    if not ids:
-        raise DataError(f"{path}: no samples")
+
+    header, ids, values = _read_table(path, check_header, _parse_scores, _score_fault)
     try:
         return ScoreMatrix(
-            model_id if model_id is not None else path.stem, tuple(ids), np.array(data)
+            model_id if model_id is not None else path.stem,
+            ids,
+            values.reshape(len(ids), len(header) - 1),
         )
     except DataError as exc:
         if exc.row is None:
             raise
-        raise DataError(f"{path}:{seen[ids[exc.row]]}: {exc.reason}") from None
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            lineno, _ = next(islice(_records(fh), exc.row, None))
+        raise DataError(f"{path}:{lineno}: {exc.reason}") from None
 
 
 def write_scores(matrix: ScoreMatrix, path) -> None:
     """Write a score CSV; floats use ``repr`` so they round-trip exactly."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    columns = (map(repr, col) for col in matrix.scores.T.tolist())
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id"] + [f"class_{i}" for i in range(matrix.num_classes)])
-        for sid, row in zip(matrix.sample_ids, matrix.scores):
-            writer.writerow([sid] + [repr(float(v)) for v in row])
+        writer.writerows(zip(matrix.sample_ids, *columns))
 
 
 def load_labels(path) -> LabelVector:
     path = Path(path)
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}:1: missing header")
-    if rows[0] != ["sample_id", "label"]:
-        raise DataError(f"{path}:1: malformed header {rows[0]!r}; expected 'sample_id,label'")
-    ids: list[str] = []
-    labels: list[int] = []
-    seen: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 fields, found {len(row)}")
-        sid, cell = row
-        if sid in seen:
+
+    def check_header(header):
+        if header != ["sample_id", "label"]:
             raise DataError(
-                f"{path}:{lineno}: duplicate sample_id '{sid}' (first seen at line {seen[sid]})"
+                f"{path}:1: malformed header {header!r}; expected 'sample_id,label'"
             )
-        seen[sid] = lineno
-        try:
-            label = int(cell)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer label {cell!r}") from None
-        if label < 0:
-            raise DataError(f"{path}:{lineno}: negative label {label}")
-        ids.append(sid)
-        labels.append(label)
-    if not ids:
-        raise DataError(f"{path}: no samples")
-    return LabelVector(tuple(ids), np.array(labels))
+
+    _, ids, labels = _read_table(path, check_header, _parse_labels, _label_fault)
+    return LabelVector(ids, labels)
 
 
 def write_labels(labels: LabelVector, path) -> None:
@@ -330,14 +390,14 @@ def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDat
     aligned = []
     for m in mats:
         have = set(m.sample_ids)
-        missing = [s for s in want if s not in have]
-        if missing:
-            raise DataError(
-                f"model '{m.model_id}' is missing sample_id '{missing[0]}' present in the "
-                f"labels ({len(missing)} missing in total)"
-            )
-        extra = [s for s in m.sample_ids if s not in want_set]
-        if extra:
+        if have != want_set:
+            missing = [s for s in want if s not in have]
+            if missing:
+                raise DataError(
+                    f"model '{m.model_id}' is missing sample_id '{missing[0]}' present in "
+                    f"the labels ({len(missing)} missing in total)"
+                )
+            extra = [s for s in m.sample_ids if s not in want_set]
             raise DataError(
                 f"model '{m.model_id}' has sample_id '{extra[0]}' absent from the labels "
                 f"({len(extra)} extra in total)"
@@ -346,7 +406,7 @@ def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDat
             aligned.append(m)
         else:
             pos = {s: i for i, s in enumerate(m.sample_ids)}
-            perm = np.array([pos[s] for s in want])
+            perm = np.array(list(map(pos.__getitem__, want)))
             aligned.append(ScoreMatrix(m.model_id, want, m.scores[perm]))
     return FusionDataset(tuple(aligned), labels, split)
 
