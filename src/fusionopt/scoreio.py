@@ -460,7 +460,7 @@ def load_manifest(path) -> Manifest:
     path = Path(path)
     base = path.parent
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):

@@ -320,6 +320,15 @@ class TestByteOrderMark:
         plain, marked = self._pair(tmp_path, "ids.txt", "s1\ns2\n")
         assert read_id_list(marked) == read_id_list(plain) == ("s1", "s2")
 
+    def test_manifest(self, tmp_path):
+        import json
+        _manifest_files(tmp_path)
+        body = json.dumps({"models": [{"id": "m1", "scores_path": "m1.csv"}],
+                           "labels_path": "labels.csv", "method": "bf",
+                           "output": "report.csv"})
+        plain, marked = self._pair(tmp_path, "manifest.json", body)
+        assert load_manifest(marked) == load_manifest(plain)
+
 
 def _manifest_files(tmp_path):
     _write(tmp_path, "m1.csv", "sample_id,class_0,class_1\ns1,0.8,0.2\ns2,0.3,0.7\n")
