@@ -290,7 +290,7 @@ class EvaluationTracker:
             raise BudgetExhausted
         self.evaluations += 1
         raw = np.asarray(candidate, dtype=np.float64)
-        if not np.any(raw > 0.0):
+        if not (raw > 0.0).any():
             return 1.0  # worst by fiat; never evaluated, never the best
         error = float(self._objective(raw))
         if self.best_error is None or error < self.best_error:
