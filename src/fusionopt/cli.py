@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import FusionOptError, InvalidWeightsError, UsageError
 from .fusion import WeightVector, equal_weights, fuse, normalize, predict
-from .objective import confusion, make_objective, metrics
-from .optimizers import OptimizerConfig, optimize, write_result_json
+from .objective import OBJECTIVE_VARIANTS, confusion, make_objective, metrics
+from .optimizers import METHODS, OptimizerConfig, optimize, write_result_json
 from .scoreio import (
     ReportRow,
     ScoreMatrix,
@@ -46,7 +46,7 @@ from .textprep import (
     write_samples,
 )
 
-COMPARISON_ORDER = ("equal", "pso", "ga", "bf", "powell", "nelder-mead")
+COMPARISON_ORDER = METHODS
 
 
 def _search_and_score(validation, test, method, params, seed, grid_step, variant):
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--method", help="override the manifest method")
     p_opt.add_argument("--seed", type=int, help="override the manifest seed")
     p_opt.add_argument("--grid-step", type=float, dest="grid_step")
-    p_opt.add_argument("--objective", choices=("fused_accuracy", "score_mass"))
+    p_opt.add_argument("--objective", choices=OBJECTIVE_VARIANTS)
     p_opt.add_argument("--out", help="override the manifest output path")
     p_opt.set_defaults(func=cmd_optimize)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWeightsError
+from .errors import FusionOptError, InvalidWeightsError
 
 FUSED_ROW_SUM_TOLERANCE = 1e-9
 
@@ -109,6 +109,19 @@ class FusedScores:
         return int(self.fused.shape[1])
 
 
+def class_indices(values, error: type[FusionOptError], what: str) -> np.ndarray:
+    """``values`` as a fresh int64 array; a value not a whole number >= 0 raises ``error``."""
+    arr = np.array(values, copy=True)
+    if arr.dtype.kind not in "iub":
+        arr = arr.astype(np.float64)
+        whole = np.isfinite(arr) & (arr == np.trunc(arr))
+        if not whole.all():
+            raise error(f"{what} must be whole class indices, got {float(arr[~whole][0])!r}")
+    if arr.size and arr.min() < 0:
+        raise error(f"{what} must be nonnegative class indices")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Predictions:
     """Predicted class index per sample."""
@@ -117,11 +130,9 @@ class Predictions:
     predicted: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.predicted, dtype=np.int64, copy=True)
+        arr = class_indices(self.predicted, InvalidWeightsError, "predictions")
         if arr.ndim != 1 or arr.size != len(self.sample_ids):
             raise InvalidWeightsError("predictions must be one class index per sample")
-        if arr.size and arr.min() < 0:
-            raise InvalidWeightsError("negative class index in predictions")
         arr.setflags(write=False)
         object.__setattr__(self, "predicted", arr)
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))

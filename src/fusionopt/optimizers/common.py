@@ -20,62 +20,65 @@ import numpy as np
 from ..errors import ConfigError, UsageError
 from ..fusion import WeightVector, normalize
 
-METHODS = ("equal", "pso", "ga", "bf", "powell", "nelder-mead")
-STOCHASTIC_METHODS = frozenset({"pso", "ga", "powell"})
-
 DEFAULT_MAX_EVALUATIONS = 100_000
 DEFAULT_GRID_STEP = 0.05
 
-# Canonical constriction-style settings; the methods themselves come with
-# no published hyperparameters for this task.
-PSO_DEFAULTS: dict[str, float] = {
-    "swarm_size": 30,
-    "iterations": 100,
-    "inertia": 0.729,
-    "cognitive": 1.49445,
-    "social": 1.49445,
-    "velocity_clamp": 0.5,
-}
-GA_DEFAULTS: dict[str, float] = {
-    "population_size": 50,
-    "generations": 100,
-    "tournament_size": 3,
-    "crossover_prob": 0.9,
-    "mutation_prob": 0.1,
-    "mutation_sigma": 0.1,
-    "elitism": 2,
-    "stall_window": 20,
-}
-POWELL_DEFAULTS: dict[str, float] = {
-    "restarts": 5,
-    "line_tolerance": 1e-6,
-    "outer_tolerance": 1e-8,
-    "max_outer_iterations": 100,
-}
-NELDER_MEAD_DEFAULTS: dict[str, float] = {
-    "reflection": 1.0,
-    "expansion": 2.0,
-    "contraction": 0.5,
-    "shrink": 0.5,
-    "initial_offset": 0.1,
-    "spread_tolerance": 1e-6,
-    "max_iterations": 200,
-}
 
-_METHOD_DEFAULTS: dict[str, dict[str, float]] = {
+def _at_least(low: int):
+    return lambda v, p: v >= low, f"be at least {low}"
+
+
+_POSITIVE = (lambda v, p: v > 0.0, "be positive")
+_NONNEGATIVE = (lambda v, p: v >= 0.0, "be nonnegative")
+_PROBABILITY = (lambda v, p: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_OPEN_UNIT = (lambda v, p: 0.0 < v < 1.0, "lie in (0, 1)")
+
+# Every search parameter, declared once: method -> name -> (default, bound
+# check, bound text). An int default makes the parameter an integer; a check
+# sees the value and the merged parameters. PSO takes canonical
+# constriction-style settings; the methods come with no published
+# hyperparameters for this task.
+SEARCH_PARAMS: dict[str, dict[str, tuple]] = {
     "equal": {},
+    "pso": {
+        "swarm_size": (30, *_at_least(2)),
+        "iterations": (100, *_at_least(1)),
+        "inertia": (0.729, lambda v, p: 0.0 <= v < 1.0, "lie in [0, 1)"),
+        "cognitive": (1.49445, *_NONNEGATIVE),
+        "social": (1.49445, *_NONNEGATIVE),
+        "velocity_clamp": (0.5, *_POSITIVE),
+    },
+    "ga": {
+        "population_size": (50, *_at_least(4)),
+        "generations": (100, *_at_least(1)),
+        "tournament_size": (3, lambda v, p: 1 <= v <= p["population_size"],
+                            "lie in [1, population_size]"),
+        "crossover_prob": (0.9, *_PROBABILITY),
+        "mutation_prob": (0.1, *_PROBABILITY),
+        "mutation_sigma": (0.1, *_POSITIVE),
+        "elitism": (2, lambda v, p: 0 <= v < p["population_size"],
+                    "lie in [0, population_size)"),
+        "stall_window": (20, *_at_least(1)),
+    },
     "bf": {},
-    "pso": PSO_DEFAULTS,
-    "ga": GA_DEFAULTS,
-    "powell": POWELL_DEFAULTS,
-    "nelder-mead": NELDER_MEAD_DEFAULTS,
+    "powell": {
+        "restarts": (5, *_at_least(1)),
+        "line_tolerance": (1e-6, *_POSITIVE),
+        "outer_tolerance": (1e-8, *_POSITIVE),
+        "max_outer_iterations": (100, *_at_least(1)),
+    },
+    "nelder-mead": {
+        "reflection": (1.0, *_POSITIVE),
+        "expansion": (2.0, lambda v, p: v > 1.0, "exceed 1"),
+        "contraction": (0.5, *_OPEN_UNIT),
+        "shrink": (0.5, *_OPEN_UNIT),
+        "initial_offset": (0.1, *_OPEN_UNIT),
+        "spread_tolerance": (1e-6, *_POSITIVE),
+        "max_iterations": (200, *_at_least(1)),
+    },
 }
-
-_INT_PARAMS = {
-    "swarm_size", "iterations", "population_size", "generations",
-    "tournament_size", "elitism", "stall_window", "restarts",
-    "max_outer_iterations", "max_iterations",
-}
+METHODS = tuple(SEARCH_PARAMS)
+STOCHASTIC_METHODS = frozenset({"pso", "ga", "powell"})
 
 
 def rng_stream(seed: int, *site: int) -> np.random.Generator:
@@ -89,69 +92,16 @@ def rng_stream(seed: int, *site: int) -> np.random.Generator:
     )
 
 
-def _as_param(value, name: str) -> int | float:
-    """Convert one parameter override to its type, naming it on failure."""
-    kind = "an integer" if name in _INT_PARAMS else "a number"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _as_param(value, name: str, default) -> int | float:
+    """Convert one parameter override to the type of its default, naming it on failure."""
+    integer = isinstance(default, int)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integer and isinstance(value, float) and not value.is_integer()):
+        kind = "an integer" if integer else "a number"
         raise ConfigError(f"parameter '{name}' must be {kind}, got {value!r}")
-    if name not in _INT_PARAMS:
-        return float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"parameter '{name}' must be {kind}, got {value!r}")
-    return int(value)
-
-
-def _validate_params(method: str, params: dict[str, float]) -> dict[str, float]:
-    checks: list[tuple[str, bool, str]] = []
-    if method == "pso":
-        checks = [
-            ("swarm_size", params["swarm_size"] >= 2, "swarm_size must be at least 2"),
-            ("iterations", params["iterations"] >= 1, "iterations must be at least 1"),
-            ("inertia", 0.0 <= params["inertia"] < 1.0, "inertia must lie in [0, 1)"),
-            ("cognitive", params["cognitive"] >= 0.0, "cognitive must be nonnegative"),
-            ("social", params["social"] >= 0.0, "social must be nonnegative"),
-            ("velocity_clamp", params["velocity_clamp"] > 0.0, "velocity_clamp must be positive"),
-        ]
-    elif method == "ga":
-        checks = [
-            ("population_size", params["population_size"] >= 4,
-             "population_size must be at least 4"),
-            ("generations", params["generations"] >= 1, "generations must be at least 1"),
-            ("tournament_size", 1 <= params["tournament_size"] <= params["population_size"],
-             "tournament_size must lie in [1, population_size]"),
-            ("crossover_prob", 0.0 <= params["crossover_prob"] <= 1.0,
-             "crossover_prob must lie in [0, 1]"),
-            ("mutation_prob", 0.0 <= params["mutation_prob"] <= 1.0,
-             "mutation_prob must lie in [0, 1]"),
-            ("mutation_sigma", params["mutation_sigma"] > 0.0, "mutation_sigma must be positive"),
-            ("elitism", 0 <= params["elitism"] < params["population_size"],
-             "elitism must lie in [0, population_size)"),
-            ("stall_window", params["stall_window"] >= 1, "stall_window must be at least 1"),
-        ]
-    elif method == "powell":
-        checks = [
-            ("restarts", params["restarts"] >= 1, "restarts must be at least 1"),
-            ("line_tolerance", params["line_tolerance"] > 0.0, "line_tolerance must be positive"),
-            ("outer_tolerance", params["outer_tolerance"] > 0.0, "outer_tolerance must be positive"),
-            ("max_outer_iterations", params["max_outer_iterations"] >= 1,
-             "max_outer_iterations must be at least 1"),
-        ]
-    elif method == "nelder-mead":
-        checks = [
-            ("reflection", params["reflection"] > 0.0, "reflection must be positive"),
-            ("expansion", params["expansion"] > 1.0, "expansion must exceed 1"),
-            ("contraction", 0.0 < params["contraction"] < 1.0, "contraction must lie in (0, 1)"),
-            ("shrink", 0.0 < params["shrink"] < 1.0, "shrink must lie in (0, 1)"),
-            ("initial_offset", 0.0 < params["initial_offset"] < 1.0,
-             "initial_offset must lie in (0, 1)"),
-            ("spread_tolerance", params["spread_tolerance"] > 0.0,
-             "spread_tolerance must be positive"),
-            ("max_iterations", params["max_iterations"] >= 1, "max_iterations must be at least 1"),
-        ]
-    for _, ok, message in checks:
-        if not ok:
-            raise ConfigError(f"method '{method}': {message}")
-    return params
+    if not (integer or math.isfinite(value)):
+        raise ConfigError(f"parameter '{name}' must be finite, got {value!r}")
+    return type(default)(value)
 
 
 @dataclass(frozen=True)
@@ -170,16 +120,15 @@ class OptimizerConfig:
             raise ConfigError(
                 f"unknown method '{self.method}'; expected one of {', '.join(METHODS)}"
             )
-        if self.seed is not None:
-            if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-                raise ConfigError("seed must be an unsigned 64-bit integer")
-            if not 0 <= self.seed < 2 ** 64:
-                raise ConfigError("seed must be an unsigned 64-bit integer")
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                                      or not 0 <= self.seed < 2 ** 64):
+            raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.method in STOCHASTIC_METHODS and self.seed is None:
             raise UsageError(
                 f"method '{self.method}' is stochastic and requires an explicit seed"
             )
-        if not isinstance(self.max_evaluations, int) or self.max_evaluations < 1:
+        if (isinstance(self.max_evaluations, bool) or not isinstance(self.max_evaluations, int)
+                or self.max_evaluations < 1):
             raise ConfigError("max_evaluations must be a positive integer")
         if (isinstance(self.grid_step, bool) or not isinstance(self.grid_step, (int, float))
                 or not 0.0 < self.grid_step <= 1.0):
@@ -192,16 +141,18 @@ class OptimizerConfig:
                 )
         if not isinstance(self.params, Mapping):
             raise ConfigError(f"params must map parameter names to values, got {self.params!r}")
-        defaults = _METHOD_DEFAULTS[self.method]
-        unknown = sorted(set(self.params) - set(defaults))
+        table = SEARCH_PARAMS[self.method]
+        unknown = sorted(set(self.params) - set(table))
         if unknown:
             raise ConfigError(
                 f"method '{self.method}' does not accept parameter(s): {', '.join(unknown)}"
             )
-        merged = dict(defaults)
+        merged = {name: default for name, (default, _, _) in table.items()}
         for key, value in self.params.items():
-            merged[key] = _as_param(value, key)
-        _validate_params(self.method, merged)
+            merged[key] = _as_param(value, key, merged[key])
+        for name, (_, check, bound) in table.items():
+            if not check(merged[name], merged):
+                raise ConfigError(f"method '{self.method}': {name} must {bound}")
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "_resolved", merged)
 

@@ -24,14 +24,14 @@ def _tournament(rng, population, errors, size: int) -> np.ndarray:
 
 
 def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> None:
-    pop_size = int(params["population_size"])
-    generations = int(params["generations"])
-    tournament_size = int(params["tournament_size"])
+    pop_size = params["population_size"]
+    generations = params["generations"]
+    tournament_size = params["tournament_size"]
     crossover_prob = params["crossover_prob"]
     mutation_prob = params["mutation_prob"]
     sigma = params["mutation_sigma"]
-    elitism = int(params["elitism"])
-    stall_window = int(params["stall_window"])
+    elitism = params["elitism"]
+    stall_window = params["stall_window"]
 
     population = rng_stream(seed, _SITE_INIT).uniform(size=(pop_size, n_models))
     errors = np.array([tracker.evaluate(x) for x in population])

@@ -34,7 +34,7 @@ def run(tracker: EvaluationTracker, n_models: int, params: dict, on_iteration=No
     rho = params["contraction"]
     sigma = params["shrink"]
     tolerance = params["spread_tolerance"]
-    max_iterations = int(params["max_iterations"])
+    max_iterations = params["max_iterations"]
 
     vertices = initial_simplex(n_models, params["initial_offset"])
     errors = [tracker.evaluate(v) for v in vertices]

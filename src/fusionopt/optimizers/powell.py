@@ -114,10 +114,10 @@ def _minimize_from(tracker, start, line_tolerance, outer_tolerance, max_outer):
 
 
 def run(tracker: EvaluationTracker, n_models: int, seed: int | None, params: dict) -> None:
-    restarts = int(params["restarts"])
+    restarts = params["restarts"]
     line_tolerance = params["line_tolerance"]
     outer_tolerance = params["outer_tolerance"]
-    max_outer = int(params["max_outer_iterations"])
+    max_outer = params["max_outer_iterations"]
     for restart in range(restarts):
         if restart == 0:
             start = np.full(n_models, 1.0 / n_models)

@@ -18,8 +18,8 @@ _SITE_ITERATION_BASE = 2
 
 
 def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> None:
-    swarm_size = int(params["swarm_size"])
-    iterations = int(params["iterations"])
+    swarm_size = params["swarm_size"]
+    iterations = params["iterations"]
     inertia = params["inertia"]
     cognitive = params["cognitive"]
     social = params["social"]

@@ -17,14 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FusionOptError
-from .fusion import exact_simplex
+from .fusion import class_indices, exact_simplex
 from .objective import check_variant
 from .optimizers.common import DEFAULT_GRID_STEP, OptimizerConfig
 
@@ -109,15 +109,13 @@ class LabelVector:
 
     def __post_init__(self):
         ids = tuple(map(str, self.sample_ids))
-        arr = np.array(self.labels, dtype=np.int64, copy=True)
+        arr = class_indices(self.labels, DataError, "labels")
         if arr.ndim != 1 or arr.size == 0:
             raise DataError("labels must be a non-empty 1-D vector")
         if len(ids) != arr.size:
             raise DataError(f"{len(ids)} sample ids for {arr.size} labels")
         if len(set(ids)) != len(ids):
             raise DataError(f"duplicate sample_id '{_first_duplicate(ids)}' in labels")
-        if arr.min() < 0:
-            raise DataError("labels must be nonnegative class indices")
         arr.setflags(write=False)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "labels", arr)
@@ -432,17 +430,13 @@ def subset(dataset: FusionDataset, sample_ids, split: str) -> FusionDataset:
 
 # --- experiment manifest ------------------------------------------------
 
-MANIFEST_KEYS = {
-    "models", "labels_path", "validation_ids_path", "method", "params",
-    "seed", "grid_step", "objective", "output",
-}
 MANIFEST_REQUIRED = {"models", "labels_path", "method", "output"}
 MODEL_ENTRY_KEYS = {"id", "scores_path"}
 
 
 @dataclass(frozen=True)
 class Manifest:
-    """Validated experiment description (see module docstring for the format)."""
+    """Validated experiment description; its field names are the manifest keys."""
 
     models: tuple[tuple[str, Path], ...]
     labels_path: Path
@@ -453,6 +447,9 @@ class Manifest:
     grid_step: float
     objective: str
     validation_ids_path: Path | None
+
+
+MANIFEST_KEYS = frozenset(f.name for f in fields(Manifest))
 
 
 def load_manifest(path) -> Manifest:

@@ -302,6 +302,23 @@ class TestManifestEdges:
         assert err.startswith("error: ") and "inertia" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    @pytest.mark.parametrize("name,value", [("velocity_clamp", float("inf")),
+                                            ("cognitive", float("inf")),
+                                            ("social", float("nan"))])
+    def test_non_finite_param_exits_one_naming_it(self, tmp_path, capsys, command, name, value):
+        manifest = _write_corpus(
+            tmp_path / "c", tiered_dataset(6, n_samples=20),
+            manifest_extra={"method": "pso", "params": {name: value}})
+        assert ("Infinity" if value > 0 else "NaN") in manifest.read_text()
+        code = main([command, "--manifest", str(manifest), "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"parameter '{name}' must be finite, got {value!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_optimize_defaults_to_manifest_output_path(self, tmp_path, capsys):
         root = tmp_path / "c"
         manifest = _write_corpus(root, tiered_dataset(8, n_samples=30),

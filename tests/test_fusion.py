@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fusionopt.errors import InvalidWeightsError
 from fusionopt.fusion import (
+    Predictions,
     WeightVector,
     equal_weights,
     exact_simplex,
@@ -119,6 +120,13 @@ class TestPredict:
         ds = _three_class_single_row((0.2, 0.3, 0.5))
         fused = fuse(ds, WeightVector(np.array([1.0])))
         assert predict(fused).predicted.tolist() == [2]
+
+    def test_predictions_must_be_whole_and_nonnegative(self):
+        with pytest.raises(InvalidWeightsError, match=r"whole class indices, got 1\.9$"):
+            Predictions(("a", "b"), np.array([0.0, 1.9]))
+        with pytest.raises(InvalidWeightsError, match=r"^predictions must be nonnegative"):
+            Predictions(("a", "b"), np.array([0, -1]))
+        assert Predictions(("a",), [1.0]).predicted.tolist() == [1]
 
 
 class TestFusionAlgebra:

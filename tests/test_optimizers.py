@@ -82,6 +82,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="max_evaluations"):
             OptimizerConfig(method="bf", max_evaluations=0)
 
+    def test_max_evaluations_rejects_bool(self):
+        with pytest.raises(ConfigError, match="max_evaluations"):
+            OptimizerConfig(method="bf", max_evaluations=True)
+
     def test_stochastic_methods_require_seed(self):
         for method in ("pso", "ga", "powell"):
             with pytest.raises(UsageError, match="seed"):
@@ -133,6 +137,19 @@ class TestConfigValidation:
     def test_integral_float_param_accepted(self):
         cfg = OptimizerConfig(method="pso", seed=1, params={"swarm_size": 10.0})
         assert cfg.resolved()["swarm_size"] == 10
+
+    @pytest.mark.parametrize("name", ["inertia", "cognitive", "velocity_clamp"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_param_rejected(self, name, value):
+        with pytest.raises(ConfigError) as info:
+            OptimizerConfig(method="pso", seed=1, params={name: value})
+        assert str(info.value) == f"parameter '{name}' must be finite, got {value!r}"
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_integer_param_rejected(self, value):
+        with pytest.raises(ConfigError) as info:
+            OptimizerConfig(method="ga", seed=1, params={"generations": value})
+        assert str(info.value) == f"parameter 'generations' must be an integer, got {value!r}"
 
 
 def _small_cfg(method, seed=42):

@@ -282,6 +282,13 @@ class TestLabels:
         with pytest.raises(DataError, match="duplicate"):
             load_labels(path)
 
+    def test_labels_must_be_whole_and_nonnegative(self):
+        with pytest.raises(DataError, match=r"^labels must be whole class indices, got 0\.5$"):
+            LabelVector(("a", "b"), [0.5, 1.7])
+        with pytest.raises(DataError, match=r"^labels must be nonnegative class indices$"):
+            LabelVector(("a", "b"), [0, -1])
+        np.testing.assert_array_equal(LabelVector(("a", "b"), [0.0, 1.0]).labels, [0, 1])
+
 
 class TestIdList:
     def test_basic(self, tmp_path):
