@@ -107,14 +107,18 @@ def check_variant(variant: str) -> None:
 class _Scorer:
     """Cumulative accuracy of raw weight vectors on one validation split.
 
-    The data is laid out once: a class-major copy of the stack, shape
-    (M, K, N), the flat index of each sample's true-class entry, and a (K, N)
-    mask of the classes below each sample's label. A call then only fuses
-    and compares. :func:`fusion.combine` sums in model order whatever the
-    layout, so the fused (K, N) table is :func:`fusion.fuse`'s, transposed,
-    bit for bit. A sample counts as right under the argmax rule, ties going
-    to the lowest class, when no class scores above its true class and no
-    lower class scores the same.
+    The data is laid out once, true class first: a copy of the stack of
+    shape (M, K, N) whose row 0 holds each sample's true-class score and
+    whose rows 1..K-1 hold its rivals in ascending class order, plus a
+    (K-1, N) tie table. A call then only fuses and compares.
+    :func:`fusion.combine` sums in model order whatever the layout, so the
+    fused values are :func:`fusion.fuse`'s bit for bit. Under the argmax
+    rule, ties going to the lowest class, a sample is wrong when a rival
+    below its label scores at least as much as the true class, or a rival
+    above it scores more. The difference of two finite doubles is zero only
+    when they are equal and keeps its sign under gradual underflow, so both
+    cases read ``rival - true >= tie``, with a tie entry of 0.0 below the
+    label and the smallest subnormal above it.
     """
 
     def __init__(self, dataset, variant: str):
@@ -123,20 +127,23 @@ class _Scorer:
             raise DataError(
                 f"the objective is defined on the validation split, got '{dataset.split}'"
             )
-        n = dataset.num_samples
         y = dataset.y
+        rival = np.arange(dataset.num_classes - 1)[:, None]
+        order = np.vstack([y, rival + (rival >= y)])
         self._variant = variant
-        self._classes = np.ascontiguousarray(dataset.stack.transpose(0, 2, 1))
-        self._true = y * n + np.arange(n)
-        self._below = np.arange(dataset.num_classes)[:, None] < y
+        self._classes = np.ascontiguousarray(
+            np.take_along_axis(dataset.stack.transpose(0, 2, 1), order[None], axis=1))
+        self._tie = np.where(rival < y, 0.0, np.nextafter(0.0, 1.0))
 
     def __call__(self, raw) -> float:
         weights = exact_simplex(WeightVector(raw).values)
         fused = combine(weights, self._classes)
-        true = fused.reshape(-1).take(self._true)
+        true = fused[0]
         if self._variant == "score_mass":
             return float(np.mean(true))
-        wrong = ((fused > true) | (self._below & (fused >= true))).any(axis=0)
+        margins = fused[1:]
+        margins -= true  # in place: ``fused`` is this call's own buffer
+        wrong = (margins >= self._tie).any(axis=0)
         return (true.size - int(np.count_nonzero(wrong))) / true.size
 
 

@@ -225,7 +225,9 @@ class EvaluationTracker:
 
     All candidate assessments flow through :meth:`evaluate`, including the
     all-zero shortcut, so the budget bound and the improvement trace hold
-    uniformly across methods.
+    uniformly across methods. A candidate already scored in this search is
+    answered from a memo without calling the objective, yet still counts as
+    one evaluation.
     """
 
     def __init__(self, objective: Callable[[np.ndarray], float], max_evaluations: int):
@@ -235,6 +237,16 @@ class EvaluationTracker:
         self.best_error: float | None = None
         self.best_raw: np.ndarray | None = None
         self.trace: list[tuple[int, float]] = []
+        self._memo: dict[bytes, float] = {}
+
+    def affordable(self, count: int) -> int:
+        """How many of ``count`` further candidates the budget can still evaluate.
+
+        A method that draws its first candidates in one go draws only this
+        many. A seeded draw of k rows is the prefix of a larger one, so the
+        rows drawn are the ones a full draw would have evaluated.
+        """
+        return min(count, self.max_evaluations - self.evaluations)
 
     def evaluate(self, candidate) -> float:
         if self.evaluations >= self.max_evaluations:
@@ -243,7 +255,11 @@ class EvaluationTracker:
         raw = np.asarray(candidate, dtype=np.float64)
         if not (raw > 0.0).any():
             return 1.0  # worst by fiat; never evaluated, never the best
-        error = float(self._objective(raw))
+        key = raw.tobytes()
+        error = self._memo.get(key)
+        if error is not None:
+            return error  # seen before, so it cannot move the best
+        error = self._memo[key] = float(self._objective(raw))
         if self.best_error is None or error < self.best_error:
             self.best_error = error
             self.best_raw = raw.copy()

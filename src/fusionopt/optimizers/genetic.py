@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import EvaluationTracker, rank_key, rng_stream
+from .common import BudgetExhausted, EvaluationTracker, rank_key, rng_stream
 
 _SITE_INIT = 0
 _SITE_GENERATION_BASE = 1
@@ -33,8 +33,11 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
     elitism = params["elitism"]
     stall_window = params["stall_window"]
 
-    population = rng_stream(seed, _SITE_INIT).uniform(size=(pop_size, n_models))
+    drawn = tracker.affordable(pop_size)
+    population = rng_stream(seed, _SITE_INIT).uniform(size=(drawn, n_models))
     errors = np.array([tracker.evaluate(x) for x in population])
+    if drawn < pop_size:
+        raise BudgetExhausted
 
     best_seen = float(errors.min())
     stalled = 0

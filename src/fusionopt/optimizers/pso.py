@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import EvaluationTracker, better, rank_key, rng_stream
+from .common import BudgetExhausted, EvaluationTracker, better, rank_key, rng_stream
 
 _SITE_INIT_POSITIONS = 0
 _SITE_INIT_VELOCITIES = 1
@@ -25,15 +25,16 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
     social = params["social"]
     v_max = params["velocity_clamp"]
 
-    positions = rng_stream(seed, _SITE_INIT_POSITIONS).uniform(size=(swarm_size, n_models))
+    drawn = tracker.affordable(swarm_size)
+    positions = rng_stream(seed, _SITE_INIT_POSITIONS).uniform(size=(drawn, n_models))
     velocities = rng_stream(seed, _SITE_INIT_VELOCITIES).uniform(
-        -v_max, v_max, size=(swarm_size, n_models)
+        -v_max, v_max, size=(drawn, n_models)
     )
 
     personal_best = positions.copy()
-    personal_error = np.empty(swarm_size)
-    for j in range(swarm_size):
-        personal_error[j] = tracker.evaluate(positions[j])
+    personal_error = np.array([tracker.evaluate(x) for x in positions])
+    if drawn < swarm_size:
+        raise BudgetExhausted
 
     best_j = min(
         range(swarm_size), key=lambda j: rank_key(personal_error[j], personal_best[j])

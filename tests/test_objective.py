@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionopt.errors import ConfigError, DataError, InvalidWeightsError
-from fusionopt.fusion import Predictions, WeightVector, fuse, normalize, predict
+from fusionopt.fusion import (
+    Predictions, WeightVector, combine, exact_simplex, fuse, normalize, predict,
+)
 from fusionopt.objective import (
     ConfusionCounts,
     confusion,
@@ -128,6 +132,88 @@ class TestCumulativeAccuracy:
         a = cumulative_accuracy(ds, WeightVector(raw), variant)
         e = cumulative_error(ds, WeightVector(raw), variant)
         assert abs(e + a - 1.0) <= 1e-15
+
+
+TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+
+
+def tied_dataset(seed, n_models, n_classes, n=60):
+    """Rows where two classes tie exactly at the top, beside subnormal entries.
+
+    Every model ties the same two classes, so each fused row keeps the exact
+    tie, and the label sits on the lower tied class, on the higher one, or on
+    a class holding a subnormal. The rows sum to 1 within rounding.
+    """
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"s{i:03d}" for i in range(n))
+    tied = np.array([rng.choice(n_classes, 2, replace=False) for _ in range(n)])
+    tied.sort(axis=1)
+    rest = np.array([[c for c in range(n_classes) if c not in row] for row in tied])
+    matrices = []
+    for m in range(n_models):
+        rows = np.zeros((n, n_classes))
+        top = rng.uniform(0.35, 0.5, n)
+        rows[np.arange(n), tied[:, 0]] = top
+        rows[np.arange(n), tied[:, 1]] = top
+        rows[np.arange(n), rest[:, 0]] = rng.choice([TINY, 3 * TINY, 0.0], n)
+        rows[np.arange(n), rest[:, -1]] += 1.0 - 2.0 * top
+        matrices.append(ScoreMatrix(f"m{m}", ids, rows))
+    pick = rng.integers(0, 3, n)
+    labels = np.where(pick == 0, tied[:, 0], np.where(pick == 1, tied[:, 1], rest[:, 0]))
+    return align(matrices, LabelVector(ids, labels))
+
+
+class TestTrueClassFirstKernel:
+    """The objective's layout against the plain ``predict(fuse(...))`` composition."""
+
+    @pytest.mark.parametrize("n_classes", [3, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_ties_and_subnormals_match_fuse_predict(self, seed, n_classes):
+        ds = tied_dataset(seed, 3, n_classes)
+        rng = np.random.default_rng(seed)
+        for raw in (rng.random(3) + 1e-3, np.array([0.0, 2.0, 1.0]), np.ones(3)):
+            fused = fuse(ds, normalize(WeightVector(raw)))
+            right = predict(fused).predicted == ds.y
+            assert 0 < np.count_nonzero(right) < ds.num_samples
+            assert make_objective(ds)(raw) == 1.0 - float(np.mean(right))
+            assert make_objective(ds, "score_mass")(raw) == 1.0 - float(
+                fused.fused[np.arange(ds.num_samples), ds.y].mean())
+
+    @pytest.mark.parametrize("n_classes", [3, 4])
+    def test_tie_with_a_higher_class_is_right_and_with_a_lower_one_wrong(self, n_classes):
+        row = np.array([[0.4, 0.4, 0.2] + [0.0] * (n_classes - 3)])
+        for label, error in ((0, 0.0), (1, 1.0)):
+            ds = align([ScoreMatrix("m", ("s",), row)], LabelVector(("s",), np.array([label])))
+            assert make_objective(ds)(np.ones(1)) == error
+
+    @pytest.mark.parametrize("n_classes", [3, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subnormal_margins_keep_their_sign(self, seed, n_classes):
+        # Scores a few subnormals apart, so every decision rests on a margin
+        # that gradual underflow must keep. The oracle is the argmax rule.
+        rng = np.random.default_rng(seed)
+        n, n_models = 200, 3
+        stack = rng.integers(0, 4, (n_models, n, n_classes)) * TINY
+        y = rng.integers(0, n_classes, n)
+        data = SimpleNamespace(split="validation", stack=stack, y=y,
+                               num_samples=n, num_classes=n_classes)
+        raw = np.array([1.0, 0.0, 0.0]) if seed == 0 else rng.random(n_models) + 1e-3
+        fused = combine(exact_simplex(raw), stack)
+        right = np.argmax(fused, axis=1) == y
+        assert 0 < np.count_nonzero(right) < n
+        assert make_objective(data)(raw) == 1.0 - float(np.mean(right))
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(-60, 60),
+           st.sampled_from(["fused_accuracy", "score_mass"]))
+    def test_power_of_two_scaling_is_bit_identical(self, seed, k, variant):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, n_models=int(rng.integers(1, 5)),
+                            n_samples=int(rng.integers(1, 30)),
+                            n_classes=int(rng.integers(2, 5)))
+        raw = rng.random(ds.num_models) + 1e-6
+        objective = make_objective(ds, variant)
+        assert objective(np.ldexp(raw, k)) == objective(raw)
 
 
 class TestConfusion:

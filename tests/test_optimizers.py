@@ -16,7 +16,7 @@ from fusionopt.optimizers import (
     result_to_json,
     simplex_grid_size,
 )
-from fusionopt.optimizers.common import EvaluationTracker
+from fusionopt.optimizers.common import BudgetExhausted, EvaluationTracker
 from fusionopt.optimizers.nelder_mead import run as nm_run
 
 from synthdata import hand_dataset, random_dataset, tiered_dataset
@@ -256,6 +256,17 @@ class TestOptimizeContract:
             "method 'pso' stopped at max_evaluations=50 before its search finished"
         ]
 
+    @pytest.mark.parametrize("method,param", [("pso", "swarm_size"), ("ga", "population_size")])
+    def test_huge_initial_draw_stops_at_the_budget(self, method, param, caplog):
+        cfg = OptimizerConfig(method=method, seed=1, params={param: 10 ** 15},
+                              max_evaluations=100)
+        with caplog.at_level(logging.WARNING, logger="fusionopt.optimizers"):
+            result = optimize(v_landscape, 2, cfg)
+        assert result.evaluations == 100
+        assert [r.getMessage() for r in caplog.records] == [
+            f"method '{method}' stopped at max_evaluations=100 before its search finished"
+        ]
+
     def test_finished_search_does_not_warn(self, caplog):
         with caplog.at_level(logging.WARNING, logger="fusionopt.optimizers"):
             optimize(v_landscape, 2, OptimizerConfig(method="equal", max_evaluations=1))
@@ -380,6 +391,38 @@ class TestTracker:
         assert tracker.evaluate(np.array([0.2, 0.0, 0.0])) == 0.9
         assert tracker.evaluations == 2
         np.testing.assert_array_equal(tracker.best_raw, [0.2, 0.0, 0.0])
+
+    @pytest.mark.parametrize("method", ["ga", "powell"])
+    def test_repeated_candidates_reach_the_objective_once(self, method):
+        objective = make_objective(tiered_dataset(4, n_samples=60))
+        seen = []
+
+        def counting(raw):
+            seen.append(raw.tobytes())
+            return objective(raw)
+
+        result = optimize(counting, 3, _small_cfg(method))
+        assert len(seen) == len(set(seen))
+        assert result.evaluations > len(seen)
+        plain = optimize(objective, 3, _small_cfg(method))
+        assert result_to_json(result) == result_to_json(plain)
+
+    def test_memo_hits_count_toward_the_budget(self):
+        calls = []
+        tracker = EvaluationTracker(lambda raw: calls.append(1) or 0.5, 3)
+        for _ in range(3):
+            assert tracker.evaluate(np.array([0.2, 0.8])) == 0.5
+        with pytest.raises(BudgetExhausted):
+            tracker.evaluate(np.array([0.2, 0.8]))
+        assert (tracker.evaluations, len(calls)) == (3, 1)
+
+    def test_search_cut_off_by_the_budget_stops_at_exactly_the_budget(self):
+        calls = []
+        cfg = OptimizerConfig(method="ga", seed=2, max_evaluations=75,
+                              params={"population_size": 10, "stall_window": 100})
+        result = optimize(lambda raw: calls.append(1) or 0.5, 3, cfg)
+        assert result.evaluations == 75
+        assert len(calls) < 75
 
 
 class TestGenetic:
