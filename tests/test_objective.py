@@ -140,26 +140,28 @@ TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
 def tied_dataset(seed, n_models, n_classes, n=60):
     """Rows where two classes tie exactly at the top, beside subnormal entries.
 
-    Every model ties the same two classes, so each fused row keeps the exact
-    tie, and the label sits on the lower tied class, on the higher one, or on
-    a class holding a subnormal. The rows sum to 1 within rounding.
+    Every model ties the same two classes of a sample, so each fused row
+    keeps the tie, and the label sits on the lower tied class, on the higher
+    one, or on a class holding 0.0 or a subnormal. The other entries are
+    dyadic, so each row's exact sum rounds to 1.0 and loads unchanged.
     """
     rng = np.random.default_rng(seed)
     ids = tuple(f"s{i:03d}" for i in range(n))
-    tied = np.array([rng.choice(n_classes, 2, replace=False) for _ in range(n)])
-    tied.sort(axis=1)
-    rest = np.array([[c for c in range(n_classes) if c not in row] for row in tied])
+    order = np.array([rng.permutation(n_classes) for _ in range(n)])
+    tied, small, rest = np.sort(order[:, :2], axis=1), order[:, 2], order[:, 3:]
+    every = np.arange(n)
     matrices = []
     for m in range(n_models):
         rows = np.zeros((n, n_classes))
-        top = rng.uniform(0.35, 0.5, n)
-        rows[np.arange(n), tied[:, 0]] = top
-        rows[np.arange(n), tied[:, 1]] = top
-        rows[np.arange(n), rest[:, 0]] = rng.choice([TINY, 3 * TINY, 0.0], n)
-        rows[np.arange(n), rest[:, -1]] += 1.0 - 2.0 * top
+        top = rng.choice([0.375, 0.4375, 0.5], n) if rest.size else np.full(n, 0.5)
+        rows[every, tied[:, 0]] = top
+        rows[every, tied[:, 1]] = top
+        rows[every, small] = rng.choice([TINY, 3 * TINY, 0.0], n)
+        if rest.size:
+            rows[every, rest[:, 0]] = 1.0 - 2.0 * top
         matrices.append(ScoreMatrix(f"m{m}", ids, rows))
     pick = rng.integers(0, 3, n)
-    labels = np.where(pick == 0, tied[:, 0], np.where(pick == 1, tied[:, 1], rest[:, 0]))
+    labels = np.where(pick == 0, tied[:, 0], np.where(pick == 1, tied[:, 1], small))
     return align(matrices, LabelVector(ids, labels))
 
 
@@ -171,8 +173,11 @@ class TestTrueClassFirstKernel:
     def test_exact_ties_and_subnormals_match_fuse_predict(self, seed, n_classes):
         ds = tied_dataset(seed, 3, n_classes)
         rng = np.random.default_rng(seed)
+        assert (ds.stack == TINY).any()
         for raw in (rng.random(3) + 1e-3, np.array([0.0, 2.0, 1.0]), np.ones(3)):
             fused = fuse(ds, normalize(WeightVector(raw)))
+            top_two = np.sort(fused.fused, axis=1)[:, -2:]
+            assert (top_two[:, 0] == top_two[:, 1]).all()
             right = predict(fused).predicted == ds.y
             assert 0 < np.count_nonzero(right) < ds.num_samples
             assert make_objective(ds)(raw) == 1.0 - float(np.mean(right))
@@ -195,8 +200,7 @@ class TestTrueClassFirstKernel:
         n, n_models = 200, 3
         stack = rng.integers(0, 4, (n_models, n, n_classes)) * TINY
         y = rng.integers(0, n_classes, n)
-        data = SimpleNamespace(split="validation", stack=stack, y=y,
-                               num_samples=n, num_classes=n_classes)
+        data = SimpleNamespace(split="validation", stack=stack, y=y, num_classes=n_classes)
         raw = np.array([1.0, 0.0, 0.0]) if seed == 0 else rng.random(n_models) + 1e-3
         fused = combine(exact_simplex(raw), stack)
         right = np.argmax(fused, axis=1) == y
