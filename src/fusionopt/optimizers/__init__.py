@@ -44,9 +44,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def _run(objective, n_models: int, config: OptimizerConfig, extra_points=()) -> OptResult:
-    """The one search runner: tracker, method dispatch, budget and result.
+def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
+    """Run the configured method on ``objective`` over M raw weights.
 
+    ``objective`` maps a raw nonnegative weight vector to an error in [0, 1]
+    and must normalize internally (see :func:`fusionopt.objective.make_objective`).
     A search the budget cuts off keeps its best candidate so far and logs a
     warning, so it cannot pass for a finished one.
     """
@@ -58,7 +60,7 @@ def _run(objective, n_models: int, config: OptimizerConfig, extra_points=()) -> 
         if config.method == "equal":
             tracker.evaluate(np.full(n_models, 1.0 / n_models))
         elif config.method == "bf":
-            _brute_force.run(tracker, n_models, config.grid_steps(), extra_points)
+            _brute_force.run(tracker, n_models, config.grid_steps())
         elif config.method == "pso":
             _pso.run(tracker, n_models, config.seed, params)
         elif config.method == "ga":
@@ -73,17 +75,8 @@ def _run(objective, n_models: int, config: OptimizerConfig, extra_points=()) -> 
     return tracker.result(config.method, config.seed)
 
 
-def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
-    """Run the configured method on ``objective`` over M raw weights.
-
-    ``objective`` maps a raw nonnegative weight vector to an error in [0, 1]
-    and must normalize internally (see :func:`fusionopt.objective.make_objective`).
-    """
-    return _run(objective, n_models, config)
-
-
 def brute_force(objective, n_models: int, grid_step: float = DEFAULT_GRID_STEP,
-                extra_points=(), max_evaluations: int = DEFAULT_MAX_EVALUATIONS) -> OptResult:
-    """Exhaustive grid search; ``extra_points`` join the candidate set."""
+                max_evaluations: int = DEFAULT_MAX_EVALUATIONS) -> OptResult:
+    """Exhaustive grid search over the simplex at ``grid_step``."""
     config = OptimizerConfig(method="bf", grid_step=grid_step, max_evaluations=max_evaluations)
-    return _run(objective, n_models, config, extra_points)
+    return optimize(objective, n_models, config)

@@ -2,9 +2,9 @@
 
 Candidates are every vector whose entries are nonnegative integer multiples
 of the grid step summing to one (parameterized as i/steps to keep the floats
-clean), plus the always-appended one-hot vectors and the equal-weights
-vector. The grid point with the lowest error wins; equal errors go to the
-lexicographically smallest vector.
+clean), which include the one-hot vectors, plus the equal-weights vector
+when it is off the grid. The grid point with the lowest error wins; equal
+errors go to the lexicographically smallest vector.
 """
 
 from __future__ import annotations
@@ -25,48 +25,24 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def grid_candidates(steps: int, n_models: int, extra_points=()) -> list[np.ndarray]:
-    """Deduplicated candidate list: simplex grid, one-hots, equal weights, extras."""
+def grid_candidates(steps: int, n_models: int) -> list[np.ndarray]:
+    """The simplex grid in composition order, then equal weights if it is off the grid."""
     candidates = [
         np.array(comp, dtype=np.float64) / steps
         for comp in _compositions(steps, n_models)
     ]
-    for j in range(n_models):
-        one_hot = np.zeros(n_models)
-        one_hot[j] = 1.0
-        candidates.append(one_hot)
-    candidates.append(np.full(n_models, 1.0 / n_models))
-    for point in extra_points:
-        arr = np.asarray(point, dtype=np.float64)
-        if arr.shape != (n_models,):
-            raise ConfigError(
-                f"extra point of length {arr.size} does not match {n_models} models"
-            )
-        candidates.append(arr)
-    seen: set[tuple[float, ...]] = set()
-    unique = []
-    for c in candidates:
-        key = tuple(c)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
-    return unique
+    if steps % n_models:
+        candidates.append(np.full(n_models, 1.0 / n_models))
+    return candidates
 
 
-def run(tracker: EvaluationTracker, n_models: int, steps: int, extra_points=()) -> None:
-    # Reject oversized grids before generating the candidate list: the bare
-    # grid count already bounds the post-dedup total from below.
-    grid_count = simplex_grid_size(steps, n_models)
-    if grid_count > tracker.max_evaluations:
+def run(tracker: EvaluationTracker, n_models: int, steps: int) -> None:
+    # Count the candidates exactly before generating any of them.
+    count = simplex_grid_size(steps, n_models) + bool(steps % n_models)
+    if count > tracker.max_evaluations:
         raise ConfigError(
-            f"brute-force grid holds {grid_count} points, exceeding the evaluation "
+            f"brute-force search holds {count} candidates, exceeding the evaluation "
             f"budget of {tracker.max_evaluations}"
         )
-    candidates = grid_candidates(steps, n_models, extra_points)
-    if len(candidates) > tracker.max_evaluations:
-        raise ConfigError(
-            f"brute-force candidate set holds {len(candidates)} points, exceeding "
-            f"the evaluation budget of {tracker.max_evaluations}"
-        )
-    for candidate in candidates:
+    for candidate in grid_candidates(steps, n_models):
         tracker.evaluate(candidate)

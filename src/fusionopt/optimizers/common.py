@@ -134,8 +134,8 @@ class OptimizerConfig:
                 or not 0.0 < self.grid_step <= 1.0):
             raise ConfigError(f"grid_step must lie in (0, 1], got {self.grid_step!r}")
         if self.method == "bf":
-            steps = round(1.0 / self.grid_step)
-            if steps < 1 or abs(steps * self.grid_step - 1.0) > 1e-9:
+            inverse = 1.0 / self.grid_step  # inf for the smallest subnormals
+            if not math.isfinite(inverse) or abs(round(inverse) * self.grid_step - 1.0) > 1e-9:
                 raise ConfigError(
                     f"grid_step {self.grid_step!r} must divide 1 into a whole number of steps"
                 )

@@ -126,46 +126,36 @@ class LabelVector:
 
 @dataclass(frozen=True, eq=False)
 class FusionDataset:
-    """Aligned collection of score matrices plus labels, tagged with a split.
+    """Model scores stacked as (M, N, K) over one sample_id sequence, plus labels.
 
-    Construction requires the inputs to already share one sample_id
-    sequence; use :func:`align` to build one from unordered inputs.
+    Only :func:`align` and :func:`subset` build one, so the rows in ``stack``
+    are already checked and aligned with the labels; ``stack`` is read-only.
     """
 
-    matrices: tuple[ScoreMatrix, ...]
+    model_ids: tuple[str, ...]
+    stack: np.ndarray = field(repr=False)
     labels: LabelVector
-    split: str = "validation"
-    stack: np.ndarray = field(init=False, repr=False)
+    split: str
 
     def __post_init__(self):
-        mats = tuple(self.matrices)
-        if not mats:
-            raise DataError("a fusion dataset needs at least one score matrix")
         if self.split not in SPLITS:
             raise DataError(f"split must be one of {SPLITS}, got {self.split!r}")
-        k = mats[0].num_classes
-        for m in mats:
-            if m.num_classes != k:
-                raise DataError(
-                    f"model '{m.model_id}' has {m.num_classes} classes, "
-                    f"model '{mats[0].model_id}' has {k}"
-                )
-            if m.sample_ids != self.labels.sample_ids:
-                raise DataError(
-                    f"model '{m.model_id}' is not aligned with the labels; call align()"
-                )
-        if int(self.labels.labels.max()) >= k:
-            raise DataError(
-                f"label {int(self.labels.labels.max())} out of range for {k} classes"
-            )
-        stack = np.stack([m.scores for m in mats])
-        stack.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "stack", stack)
+        top, k = int(self.labels.labels.max()), self.num_classes
+        if top >= k:
+            raise DataError(f"label {top} out of range for {k} classes")
+        self.stack.setflags(write=False)
+
+    @property
+    def matrices(self) -> tuple[ScoreMatrix, ...]:
+        """One :class:`ScoreMatrix` per model, rebuilt from the stack."""
+        return tuple(
+            ScoreMatrix(mid, self.sample_ids, table)
+            for mid, table in zip(self.model_ids, self.stack)
+        )
 
     @property
     def num_models(self) -> int:
-        return len(self.matrices)
+        return len(self.model_ids)
 
     @property
     def num_samples(self) -> int:
@@ -173,7 +163,7 @@ class FusionDataset:
 
     @property
     def num_classes(self) -> int:
-        return self.matrices[0].num_classes
+        return int(self.stack.shape[2])
 
     @property
     def sample_ids(self) -> tuple[str, ...]:
@@ -374,18 +364,18 @@ def read_id_list(path) -> tuple[str, ...]:
 
 
 def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDataset:
-    """Reorder every matrix to the labels' sample_id sequence.
+    """Stack every matrix in the labels' sample_id order.
 
     Alignment is strict: a sample_id present in the labels but missing from
     any matrix (or vice versa) is an error, never a silent intersection,
-    because dropped samples would silently change reported metrics.
+    because dropped samples would silently change reported metrics. Rows
+    are only reordered here; :class:`ScoreMatrix` checked them on load.
     """
     mats = tuple(matrices)
     if not mats:
         raise DataError("at least one score matrix is required")
     want = labels.sample_ids
     want_set = set(want)
-    aligned = []
     for m in mats:
         have = set(m.sample_ids)
         if have != want_set:
@@ -400,13 +390,21 @@ def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDat
                 f"model '{m.model_id}' has sample_id '{extra[0]}' absent from the labels "
                 f"({len(extra)} extra in total)"
             )
+    k = mats[0].num_classes
+    for m in mats:
+        if m.num_classes != k:
+            raise DataError(
+                f"model '{m.model_id}' has {m.num_classes} classes, "
+                f"model '{mats[0].model_id}' has {k}"
+            )
+    stack = np.empty((len(mats), len(want), k))
+    for table, m in zip(stack, mats):
         if m.sample_ids == want:
-            aligned.append(m)
+            table[...] = m.scores
         else:
             pos = {s: i for i, s in enumerate(m.sample_ids)}
-            perm = np.array(list(map(pos.__getitem__, want)))
-            aligned.append(ScoreMatrix(m.model_id, want, m.scores[perm]))
-    return FusionDataset(tuple(aligned), labels, split)
+            table[...] = m.scores[np.fromiter(map(pos.__getitem__, want), np.intp, len(want))]
+    return FusionDataset(tuple(m.model_id for m in mats), stack, labels, split)
 
 
 def subset(dataset: FusionDataset, sample_ids, split: str) -> FusionDataset:
@@ -421,11 +419,8 @@ def subset(dataset: FusionDataset, sample_ids, split: str) -> FusionDataset:
         perm = np.array([pos[s] for s in wanted])
     except KeyError as exc:
         raise DataError(f"sample_id {exc.args[0]!r} not present in the dataset") from None
-    labels = LabelVector(wanted, dataset.y[perm])
-    mats = tuple(
-        ScoreMatrix(m.model_id, wanted, m.scores[perm]) for m in dataset.matrices
-    )
-    return FusionDataset(mats, labels, split)
+    return FusionDataset(dataset.model_ids, np.take(dataset.stack, perm, axis=1),
+                         LabelVector(wanted, dataset.y[perm]), split)
 
 
 # --- experiment manifest ------------------------------------------------

@@ -319,6 +319,21 @@ class TestManifestEdges:
         assert "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("where", ["flag", "manifest"])
+    def test_subnormal_grid_step_exits_one_naming_it(self, tmp_path, capsys, where):
+        extra = {"grid_step": 5e-324} if where == "manifest" else None
+        manifest = _write_corpus(tmp_path / "c", tiered_dataset(6, n_samples=20),
+                                 manifest_extra=extra)
+        argv = ["optimize", "--manifest", str(manifest), "--method", "bf",
+                "--out", str(tmp_path / "r.csv")]
+        if where == "flag":
+            argv += ["--grid-step", "5e-324"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "grid_step" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_optimize_defaults_to_manifest_output_path(self, tmp_path, capsys):
         root = tmp_path / "c"
         manifest = _write_corpus(root, tiered_dataset(8, n_samples=30),

@@ -75,6 +75,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="whole number"):
             OptimizerConfig(method="bf", grid_step=0.3)
 
+    def test_subnormal_grid_step_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="grid_step"):
+            OptimizerConfig(method="bf", grid_step=5e-324)
+
     def test_grid_step_quarters_ok(self):
         assert OptimizerConfig(method="bf", grid_step=0.25).grid_steps() == 4
 
@@ -361,6 +365,14 @@ class TestBruteForce:
         with pytest.raises(ConfigError, match="budget"):
             brute_force(lambda raw: 0.0, 3, grid_step=0.05, max_evaluations=100)
 
+    @pytest.mark.parametrize("n_models,count", [(2, 5), (3, 16)])
+    def test_budget_check_counts_equal_weights_only_off_the_grid(self, n_models, count):
+        # Four steps: equal weights is a grid point for M=2, an extra one for M=3.
+        result = brute_force(lambda raw: 0.5, n_models, grid_step=0.25, max_evaluations=count)
+        assert result.evaluations == count
+        with pytest.raises(ConfigError, match=f"holds {count} candidates"):
+            brute_force(lambda raw: 0.5, n_models, grid_step=0.25, max_evaluations=count - 1)
+
     def test_dominates_equal_weights_and_one_hots(self):
         for seed in range(5):
             ds = tiered_dataset(seed, n_samples=60)
@@ -372,12 +384,6 @@ class TestBruteForce:
                 one_hot = np.zeros(3)
                 one_hot[j] = 1.0
                 assert result.best_error <= cumulative_error(ds, WeightVector(one_hot))
-
-    def test_all_zero_extra_point_is_never_chosen(self):
-        result = brute_force(lambda raw: 0.5, 2, grid_step=0.5,
-                             extra_points=[np.zeros(2)])
-        assert result.best_error == 0.5
-        assert np.any(result.best_weights.values > 0)
 
 
 class TestTracker:
@@ -391,6 +397,14 @@ class TestTracker:
         assert tracker.evaluate(np.array([0.2, 0.0, 0.0])) == 0.9
         assert tracker.evaluations == 2
         np.testing.assert_array_equal(tracker.best_raw, [0.2, 0.0, 0.0])
+
+    def test_feasible_candidate_with_error_one_beats_an_all_zero_one(self):
+        tracker = EvaluationTracker(lambda raw: 1.0, 10)
+        assert tracker.evaluate(np.zeros(2)) == 1.0
+        assert tracker.best_raw is None
+        assert tracker.evaluate(np.array([0.5, 0.5])) == 1.0
+        np.testing.assert_array_equal(tracker.best_raw, [0.5, 0.5])
+        assert tracker.result("bf", None).best_error == 1.0
 
     @pytest.mark.parametrize("method", ["ga", "powell"])
     def test_repeated_candidates_reach_the_objective_once(self, method):

@@ -13,9 +13,11 @@ from fusionopt.scoreio import (
     align,
     load_labels,
     load_manifest,
+    load_manifest_splits,
     load_scores,
     read_id_list,
     subset,
+    write_labels,
     write_report,
     write_scores,
 )
@@ -427,6 +429,41 @@ class TestManifest:
         path = _write(tmp_path, "manifest.json", json.dumps(self._base(**overrides)))
         with pytest.raises(ConfigError, match=rf"manifest\.json: .*{message}"):
             load_manifest(path)
+
+
+class TestLoadManifestSplits:
+    def test_each_score_row_is_checked_once(self, tmp_path, monkeypatch):
+        import json
+        rng = np.random.default_rng(8)
+        ds = random_dataset(rng, n_models=3, n_samples=12)
+        for j, matrix in enumerate(ds.matrices):
+            order = rng.permutation(ds.num_samples)
+            write_scores(ScoreMatrix(matrix.model_id, np.array(ds.sample_ids)[order],
+                                     matrix.scores[order]), tmp_path / f"m{j}.csv")
+        write_labels(ds.labels, tmp_path / "labels.csv")
+        val_ids = ds.sample_ids[5:] + ds.sample_ids[:2]
+        (tmp_path / "val.txt").write_text("\n".join(val_ids) + "\n", encoding="utf-8")
+        body = {"models": [{"id": f"m{j}", "scores_path": f"m{j}.csv"} for j in range(3)],
+                "labels_path": "labels.csv", "validation_ids_path": "val.txt",
+                "method": "equal", "output": "report.csv"}
+        manifest = load_manifest(_write(tmp_path, "manifest.json", json.dumps(body)))
+
+        built = []
+        post_init = ScoreMatrix.__post_init__
+        monkeypatch.setattr(ScoreMatrix, "__post_init__",
+                            lambda self: built.append(self.model_id) or post_init(self))
+        validation, test = load_manifest_splits(manifest)
+        monkeypatch.undo()
+        assert built == ["m0", "m1", "m2"]
+
+        full = align([load_scores(tmp_path / f"m{j}.csv") for j in range(3)], ds.labels)
+        np.testing.assert_array_equal(full.stack, ds.stack)
+        assert validation.sample_ids == val_ids
+        assert test.sample_ids == ds.sample_ids[2:5]
+        np.testing.assert_array_equal(test.stack, ds.stack[:, 2:5])
+        for dataset in (full, validation, test):
+            assert not dataset.stack.flags.writeable
+            assert dataset.stack.flags.c_contiguous
 
 
 class TestReport:
