@@ -22,11 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FusionOptError, InvalidWeightsError, UsageError
+from .errors import FusionOptError, UsageError
 from .fusion import WeightVector, equal_weights, fuse, normalize, predict
 from .objective import OBJECTIVE_VARIANTS, confusion, make_objective, metrics
 from .optimizers import METHODS, OptimizerConfig, optimize, write_result_json
 from .scoreio import (
+    REPORT_HEADER,
     ReportRow,
     ScoreMatrix,
     align,
@@ -49,33 +50,43 @@ from .textprep import (
 COMPARISON_ORDER = METHODS
 
 
-def _search_and_score(validation, test, method, params, seed, grid_step, variant):
-    """Choose weights on the validation split, then score the test split."""
-    config = OptimizerConfig(
-        method=method, seed=seed, grid_step=grid_step, params=params
-    )
+def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
+    """Choose each method's weights on validation, score them on test, write the outputs.
+
+    Every method's settings are checked before any score file is read, the
+    objective is built once, and nothing is written until every method has
+    succeeded. ``json_path(method)`` names a method's result JSON.
+    """
+    configs = [
+        OptimizerConfig(method=method, seed=seed, grid_step=grid_step,
+                        params=manifest.params if method == manifest.method else {})
+        for method in methods
+    ]
+    validation, test = load_manifest_splits(manifest)
     objective = make_objective(validation, variant)
-    result = optimize(objective, validation.num_models, config)
-    predictions = predict(fuse(test, result.best_weights))
-    report = metrics(confusion(predictions, test.labels))
-    row = ReportRow.from_metrics(
-        method, report,
-        objective=result.best_error,
-        weights=result.best_weights.values,
-    )
-    return result, row
+    results, rows = [], []
+    for config in configs:
+        try:
+            result = optimize(objective, validation.num_models, config)
+        except FusionOptError as exc:
+            raise type(exc)(f"method '{config.method}': {exc}") from exc
+        report = metrics(confusion(predict(fuse(test, result.best_weights)), test.labels))
+        row = ReportRow.from_metrics(config.method, report, objective=result.best_error,
+                                     weights=result.best_weights.values)
+        _print_row(row)
+        results.append(result)
+        rows.append(row)
+    for result in results:
+        write_result_json(result, json_path(result.method))
+    write_report(rows, out)
+    return 0
 
 
 def _print_row(row: ReportRow) -> None:
-    line = (
-        f"{row.method}: precision={row.precision:.6f} recall={row.recall:.6f} "
-        f"f1={row.f1:.6f} accuracy={row.accuracy:.6f}"
-    )
-    if row.objective is not None:
-        line += f" objective={row.objective:.6f}"
-    if row.weights is not None:
-        line += " weights=" + ";".join(f"{w:.6f}" for w in row.weights)
-    print(line)
+    method, *cells = row.cells()
+    print(f"{method}: " + " ".join(
+        f"{name}={cell}" for name, cell in zip(REPORT_HEADER[1:], cells) if cell
+    ))
 
 
 def cmd_evaluate(args) -> int:
@@ -106,12 +117,7 @@ def cmd_fuse(args) -> int:
     labels = load_labels(args.labels)
     matrices = [load_scores(p) for p in args.scores]
     dataset = align(matrices, labels)
-    weights = normalize(_parse_weights(args.weights))
-    if len(weights) != dataset.num_models:
-        raise InvalidWeightsError(
-            f"got {len(weights)} weights for {dataset.num_models} score files"
-        )
-    fused = fuse(dataset, weights)
+    fused = fuse(dataset, normalize(_parse_weights(args.weights)))
     write_scores(ScoreMatrix("fused", fused.sample_ids, fused.fused), args.out)
     print(f"wrote fused scores for {dataset.num_samples} samples to {args.out}")
     return 0
@@ -124,39 +130,16 @@ def cmd_optimize(args) -> int:
     grid_step = args.grid_step if args.grid_step is not None else manifest.grid_step
     variant = args.objective or manifest.objective
     out = Path(args.out) if args.out else manifest.output
-    validation, test = load_manifest_splits(manifest)
-    params = manifest.params if method == manifest.method else {}
-    result, row = _search_and_score(
-        validation, test, method, params, seed, grid_step, variant
-    )
-    _print_row(row)
-    write_report([row], out)
-    write_result_json(result, out.with_suffix(".json"))
-    return 0
+    return _run(manifest, [method], seed, grid_step, variant, out,
+                lambda _: out.with_suffix(".json"))
 
 
 def cmd_compare(args) -> int:
     manifest = load_manifest(args.manifest)
     seed = args.seed if args.seed is not None else manifest.seed
     out = Path(args.out) if args.out else manifest.output
-    validation, test = load_manifest_splits(manifest)
-    results, rows = [], []
-    for method in COMPARISON_ORDER:
-        params = manifest.params if method == manifest.method else {}
-        try:
-            result, row = _search_and_score(
-                validation, test, method, params, seed,
-                manifest.grid_step, manifest.objective,
-            )
-        except FusionOptError as exc:
-            raise type(exc)(f"method '{method}': {exc}") from exc
-        results.append(result)
-        rows.append(row)
-        _print_row(row)
-    for result in results:
-        write_result_json(result, out.with_name(f"{out.stem}.{result.method}.json"))
-    write_report(rows, out)
-    return 0
+    return _run(manifest, COMPARISON_ORDER, seed, manifest.grid_step, manifest.objective,
+                out, lambda method: out.with_name(f"{out.stem}.{method}.json"))
 
 
 def cmd_prep(args) -> int:

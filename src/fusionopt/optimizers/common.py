@@ -92,6 +92,12 @@ def rng_stream(seed: int, *site: int) -> np.random.Generator:
     )
 
 
+def check_seed(seed) -> None:
+    """The one seed rule: a seed is an unsigned 64-bit integer."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        raise ConfigError("seed must be an unsigned 64-bit integer")
+
+
 def _as_param(value, name: str, default) -> int | float:
     """Convert one parameter override to the type of its default, naming it on failure."""
     integer = isinstance(default, int)
@@ -120,9 +126,8 @@ class OptimizerConfig:
             raise ConfigError(
                 f"unknown method '{self.method}'; expected one of {', '.join(METHODS)}"
             )
-        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)
-                                      or not 0 <= self.seed < 2 ** 64):
-            raise ConfigError("seed must be an unsigned 64-bit integer")
+        if self.seed is not None:
+            check_seed(self.seed)
         if self.method in STOCHASTIC_METHODS and self.seed is None:
             raise UsageError(
                 f"method '{self.method}' is stochastic and requires an explicit seed"
@@ -137,7 +142,8 @@ class OptimizerConfig:
             inverse = 1.0 / self.grid_step  # inf for the smallest subnormals
             if not math.isfinite(inverse) or abs(round(inverse) * self.grid_step - 1.0) > 1e-9:
                 raise ConfigError(
-                    f"grid_step {self.grid_step!r} must divide 1 into a whole number of steps"
+                    f"method '{self.method}': grid_step {self.grid_step!r} must divide 1 "
+                    "into a whole number of steps"
                 )
         if not isinstance(self.params, Mapping):
             raise ConfigError(f"params must map parameter names to values, got {self.params!r}")

@@ -375,21 +375,33 @@ def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDat
     if not mats:
         raise DataError("at least one score matrix is required")
     want = labels.sample_ids
-    want_set = set(want)
+    # Per matrix: None when its rows already follow the labels, else the
+    # row of each label id. Ids are unique on both sides, so with equal
+    # counts the lookup either succeeds or raises KeyError on a missing id.
+    orders = []
     for m in mats:
-        have = set(m.sample_ids)
-        if have != want_set:
-            missing = [s for s in want if s not in have]
-            if missing:
-                raise DataError(
-                    f"model '{m.model_id}' is missing sample_id '{missing[0]}' present in "
-                    f"the labels ({len(missing)} missing in total)"
-                )
-            extra = [s for s in m.sample_ids if s not in want_set]
+        if m.sample_ids == want:
+            orders.append(None)
+            continue
+        pos = {s: i for i, s in enumerate(m.sample_ids)}
+        if len(pos) == len(want):
+            try:
+                orders.append(np.fromiter(map(pos.__getitem__, want), np.intp, len(want)))
+                continue
+            except KeyError:
+                pass
+        missing = [s for s in want if s not in pos]
+        if missing:
             raise DataError(
-                f"model '{m.model_id}' has sample_id '{extra[0]}' absent from the labels "
-                f"({len(extra)} extra in total)"
+                f"model '{m.model_id}' is missing sample_id '{missing[0]}' present in "
+                f"the labels ({len(missing)} missing in total)"
             )
+        want_set = set(want)
+        extra = [s for s in m.sample_ids if s not in want_set]
+        raise DataError(
+            f"model '{m.model_id}' has sample_id '{extra[0]}' absent from the labels "
+            f"({len(extra)} extra in total)"
+        )
     k = mats[0].num_classes
     for m in mats:
         if m.num_classes != k:
@@ -398,12 +410,8 @@ def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDat
                 f"model '{mats[0].model_id}' has {k}"
             )
     stack = np.empty((len(mats), len(want), k))
-    for table, m in zip(stack, mats):
-        if m.sample_ids == want:
-            table[...] = m.scores
-        else:
-            pos = {s: i for i, s in enumerate(m.sample_ids)}
-            table[...] = m.scores[np.fromiter(map(pos.__getitem__, want), np.intp, len(want))]
+    for table, m, order in zip(stack, mats, orders):
+        table[...] = m.scores if order is None else m.scores[order]
     return FusionDataset(tuple(m.model_id for m in mats), stack, labels, split)
 
 
@@ -564,6 +572,12 @@ class ReportRow:
             weights=None if weights is None else tuple(float(w) for w in weights),
         )
 
+    def cells(self) -> list[str]:
+        """The row's cells in ``REPORT_HEADER`` order; an absent value is blank."""
+        numbers = (self.precision, self.recall, self.f1, self.accuracy, self.objective)
+        return [self.method, *("" if v is None else f"{v:.6f}" for v in numbers),
+                "" if self.weights is None else ";".join(f"{w:.6f}" for w in self.weights)]
+
 
 def write_report(rows, path) -> None:
     """Write report rows as CSV with a deterministic column order."""
@@ -574,13 +588,4 @@ def write_report(rows, path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.method,
-                f"{r.precision:.6f}",
-                f"{r.recall:.6f}",
-                f"{r.f1:.6f}",
-                f"{r.accuracy:.6f}",
-                "" if r.objective is None else f"{r.objective:.6f}",
-                "" if r.weights is None else ";".join(f"{w:.6f}" for w in r.weights),
-            ])
+        writer.writerows(r.cells() for r in rows)

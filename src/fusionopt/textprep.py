@@ -21,6 +21,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .errors import AugmentationError, DataError
+from .optimizers.common import check_seed
 
 _URL_RE = re.compile(r"https?://\S*")
 _HANDLE_RE = re.compile(r"@\w+")
@@ -105,6 +106,7 @@ def upsample(samples: list[TextSample], seed: int) -> list[TextSample]:
     Originals are preserved in input order; duplicates are appended with
     suffixed sample_ids until every class matches the majority count.
     """
+    check_seed(seed)
     if not samples:
         raise DataError("cannot upsample an empty sample list")
     by_label: dict[int, list[TextSample]] = {}

@@ -155,6 +155,17 @@ class TestFuse:
         assert code == 1
 
 
+    def test_weight_count_mismatch_names_the_model_count(self, tmp_path, capsys):
+        (tmp_path / "m1.csv").write_text(
+            "sample_id,class_0,class_1\na,0.8,0.2\n", encoding="utf-8")
+        (tmp_path / "labels.csv").write_text("sample_id,label\na,0\n", encoding="utf-8")
+        code = main(["fuse", "--scores", str(tmp_path / "m1.csv"),
+                     "--labels", str(tmp_path / "labels.csv"),
+                     "--weights", "1,2", "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: got 2 weights for 1 models\n"
+        assert not (tmp_path / "f.csv").exists()
+
 class TestOptimize:
     def test_equal_method_reports_equal_weights(self, tmp_path, capsys):
         manifest = _write_corpus(tmp_path / "c", tiered_dataset(7, n_samples=40),
@@ -268,6 +279,86 @@ class TestCompare:
         assert code == 1
         err = capsys.readouterr().err
         assert "bf" in err and "budget" in err
+
+
+class TestRunner:
+    def test_compare_builds_the_objective_once(self, tmp_path, capsys, monkeypatch):
+        import fusionopt.cli as cli
+
+        calls = []
+        real = cli.make_objective
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_objective", counting)
+        manifest = _write_corpus(tmp_path / "c", tiered_dataset(7, n_samples=40))
+        assert main(["compare", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        assert len(calls) == 1
+
+    def test_stdout_line_and_csv_row_have_the_same_cells(self, tmp_path, capsys):
+        manifest = _write_corpus(tmp_path / "c", tiered_dataset(7, n_samples=40))
+        out = tmp_path / "r.csv"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header, *rows = [r.split(",") for r in out.read_text().splitlines()]
+        assert len(lines) == len(rows) == 6
+        for line, cells in zip(lines, rows):
+            assert line == f"{cells[0]}: " + " ".join(
+                f"{name}={cell}" for name, cell in zip(header[1:], cells[1:]))
+
+    def test_compare_without_seed_stops_before_any_row(self, tmp_path, capsys):
+        manifest = _write_corpus(tmp_path / "c", tiered_dataset(3, n_samples=30))
+        body = json.loads(manifest.read_text())
+        del body["seed"]
+        manifest.write_text(json.dumps(body), encoding="utf-8")
+        code = main(["compare", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: method 'pso' is stochastic and requires an explicit seed\n")
+        assert captured.err.count("'pso'") == 1
+        assert list(tmp_path.glob("r*")) == []
+
+    def test_compare_checks_the_bf_grid_before_running_pso(self, tmp_path, capsys):
+        manifest = _write_corpus(tmp_path / "c", tiered_dataset(3, n_samples=30),
+                                 manifest_extra={"method": "pso", "grid_step": 0.3})
+        code = main(["compare", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: method 'bf': grid_step 0.3 must divide 1 into a whole number of steps\n")
+        assert list(tmp_path.glob("r*")) == []
+
+    @pytest.mark.parametrize("command", [["compare"],
+                                         ["optimize", "--method", "bf"]])
+    def test_config_error_comes_before_reading_any_score_file(self, tmp_path, capsys,
+                                                              command):
+        manifest = _write_corpus(tmp_path / "c", tiered_dataset(3, n_samples=30),
+                                 manifest_extra={"method": "pso", "grid_step": 0.3})
+        # Unreadable as a score table: reading it would raise a data error.
+        (manifest.parent / "m0.csv").write_text("not,a,score\ntable\n", encoding="utf-8")
+        code = main([*command, "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: method 'bf': grid_step 0.3 ")
+
+    def test_optimize_search_error_names_its_method(self, tmp_path, capsys):
+        manifest = _write_corpus(tmp_path / "c", tiered_dataset(2, n_samples=30),
+                                 manifest_extra={"method": "equal", "grid_step": 0.001})
+        code = main(["optimize", "--manifest", str(manifest), "--method", "bf",
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: method 'bf': brute-force search holds ")
+        assert list(tmp_path.glob("r*")) == []
 
 
 class TestManifestEdges:
@@ -396,6 +487,17 @@ class TestPrep:
         assert main(["prep", "balance", str(src), "--out", str(out_a), "--seed", "7"]) == 0
         assert main(["prep", "balance", str(src), "--out", str(out_b), "--seed", "7"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_balance_bad_seed_exits_one_without_output(self, tmp_path, capsys, seed):
+        samples = [TextSample(f"t{i}", f"x {i}", int(i < 7), "en") for i in range(10)]
+        src = self._jsonl(tmp_path, samples)
+        out = tmp_path / "b.jsonl"
+        assert main(["prep", "balance", str(src), "--out", str(out), "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be an unsigned 64-bit integer\n"
+        assert not out.exists()
 
     def test_augment_grows_by_source_language_count(self, tmp_path, capsys):
         samples = [TextSample(f"t{i}", "acqua", 1, "it") for i in range(3)]

@@ -83,6 +83,21 @@ class TestLoadScores:
         with pytest.raises(DataError, match=r"outside \[0, 1\]"):
             load_scores(path)
 
+    # Faults come in three tiers: text faults (field count, duplicate id,
+    # non-numeric cell), then range faults, then row-sum faults. Record
+    # order decides only within a tier.
+    def test_text_fault_outranks_an_earlier_range_fault(self, tmp_path):
+        path = _write(tmp_path, "m.csv",
+                      "sample_id,class_0,class_1\ns0,0.5,0.5\ns1,1.2,-0.2\ns2,oops,0.5\n")
+        with pytest.raises(DataError, match=r"m\.csv:4: non-numeric value 'oops'"):
+            load_scores(path)
+
+    def test_range_fault_outranks_an_earlier_row_sum_fault(self, tmp_path):
+        path = _write(tmp_path, "m.csv",
+                      "sample_id,class_0,class_1\ns0,0.5,0.5\ns1,0.5,0.4\ns2,1.2,-0.2\n")
+        with pytest.raises(DataError, match=r"m\.csv:4: value 1\.2 outside \[0, 1\]"):
+            load_scores(path)
+
     # A blank line sits before the bad row, so its line number is not its
     # row index plus a fixed offset.
     @pytest.mark.parametrize("cell", ["nan", "1.5", "-0.5", "inf"])
@@ -216,6 +231,31 @@ class TestAlign:
         labels = LabelVector(("a", "b"), np.array([0, 1]))
         with pytest.raises(DataError, match="'m1'.*'zz'"):
             align([m1], labels)
+
+    def test_same_count_with_one_id_swapped_names_the_missing_id(self):
+        m1 = ScoreMatrix("m1", ("b", "zz"), np.array([[0.9, 0.1], [0.8, 0.2]]))
+        labels = LabelVector(("a", "b"), np.array([0, 1]))
+        with pytest.raises(DataError) as info:
+            align([m1], labels)
+        assert str(info.value) == (
+            "model 'm1' is missing sample_id 'a' present in the labels (1 missing in total)")
+
+    def test_shuffled_extra_ids_are_counted(self):
+        m1 = ScoreMatrix("m1", ("zz", "b", "yy", "a"),
+                         np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.6, 0.4]]))
+        labels = LabelVector(("a", "b"), np.array([0, 1]))
+        with pytest.raises(DataError) as info:
+            align([m1], labels)
+        assert str(info.value) == (
+            "model 'm1' has sample_id 'zz' absent from the labels (2 extra in total)")
+
+    def test_id_faults_come_before_class_count_faults(self):
+        m1 = ScoreMatrix("m1", ("a", "b"), np.array([[0.9, 0.1], [0.8, 0.2]]))
+        m2 = ScoreMatrix("m2", ("a", "b"), np.array([[0.2, 0.3, 0.5]] * 2))
+        m3 = ScoreMatrix("m3", ("b",), np.array([[0.9, 0.1]]))
+        labels = LabelVector(("a", "b"), np.array([0, 1]))
+        with pytest.raises(DataError, match="^model 'm3' is missing sample_id 'a'"):
+            align([m1, m2, m3], labels)
 
     def test_mismatched_class_counts(self):
         m1 = ScoreMatrix("m1", ("a",), np.array([[0.9, 0.1]]))

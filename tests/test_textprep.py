@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionopt.errors import AugmentationError, DataError
+from fusionopt.errors import AugmentationError, ConfigError, DataError
 from fusionopt.textprep import (
     TextSample,
     augment_backtranslate,
@@ -146,6 +146,11 @@ class TestUpsample:
     def test_same_seed_reproduces_bit_identically(self):
         samples = _samples([0] * 9 + [1] * 2)
         assert upsample(samples, seed=7) == upsample(samples, seed=7)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_unsigned_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be an unsigned 64-bit integer$"):
+            upsample(_samples([0, 0, 1]), seed=seed)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
