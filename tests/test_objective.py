@@ -9,6 +9,7 @@ from fusionopt.errors import ConfigError, DataError, InvalidWeightsError
 from fusionopt.fusion import (
     Predictions, WeightVector, combine, exact_simplex, fuse, normalize, predict,
 )
+from fusionopt import objective
 from fusionopt.objective import (
     ConfusionCounts,
     confusion,
@@ -218,6 +219,98 @@ class TestTrueClassFirstKernel:
         raw = rng.random(ds.num_models) + 1e-6
         objective = make_objective(ds, variant)
         assert objective(np.ldexp(raw, k)) == objective(raw)
+
+
+def float64_oracle(data, raw):
+    """The argmax rule on the float64 fusion, ties going to the lowest class."""
+    fused = combine(exact_simplex(raw), data.stack)
+    return 1.0 - float(np.mean(np.argmax(fused, axis=1) == data.y))
+
+
+def counted_combine(monkeypatch):
+    """Patch the objective's ``combine`` to record the dtype and columns of each call."""
+    seen = []
+
+    def counting(weights, stack):
+        seen.append((stack.dtype, stack.shape[-1]))
+        return combine(weights, stack)
+
+    monkeypatch.setattr(objective, "combine", counting)
+    return seen
+
+
+def one_model(rows, labels):
+    ids = tuple(f"s{i}" for i in range(len(rows)))
+    return align([ScoreMatrix("m", ids, np.array(rows))], LabelVector(ids, np.array(labels)))
+
+
+class TestFloat32Screen:
+    """The float32 screen with its float64 re-check against the float64 rule."""
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(2, 5))
+    def test_matches_float64_oracle(self, seed, n_models, n_classes):
+        # Quarter-grid scores give exact ties; offsets of 2**-30, which
+        # float32 rounds away, give near ties; some rows are subnormal.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        stack = rng.integers(0, 5, (n_models, n, n_classes)) / 4.0
+        inner = (stack > 0.0) & (stack < 1.0)
+        stack += rng.integers(-1, 2, stack.shape) * 2.0 ** -30 * inner
+        tiny = rng.random(n) < 0.2
+        stack[:, tiny] = rng.integers(0, 4, (n_models, int(tiny.sum()), n_classes)) * TINY
+        y = rng.integers(0, n_classes, n)
+        data = SimpleNamespace(split="validation", stack=stack, y=y, num_classes=n_classes)
+        raw = rng.integers(0, 4, n_models) * (rng.random(n_models) if seed % 2 else 1.0)
+        raw[int(rng.integers(n_models))] += 1.0
+        assert make_objective(data)(raw) == float64_oracle(data, raw)
+
+    @pytest.mark.parametrize("offset", [2.0 ** -30, -2.0 ** -30])
+    @pytest.mark.parametrize("rival", [0, 2])
+    def test_float32_tie_goes_to_the_float64_check(self, monkeypatch, rival, offset):
+        # The rival sits 2**-30 off the true class 1, which float32 rounds
+        # to a tie; the other two samples are far from one.
+        near = [0.0, 0.375, 0.0]
+        near[rival], near[2 - rival] = 0.375 + offset, 0.25 - offset
+        ds = one_model([near, [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]], [1, 0, 1])
+        assert np.float32(near[rival]) == np.float32(0.375)
+        seen = counted_combine(monkeypatch)
+        error = make_objective(ds)(np.ones(1))
+        assert error == float64_oracle(ds, np.ones(1)) == 1.0 - (1 if offset > 0 else 2) / 3
+        assert seen == [(np.float32, 3), (np.float64, 1)]
+
+    def test_separated_samples_need_no_float64_fusion(self, monkeypatch):
+        ds = hand_dataset()
+        seen = counted_combine(monkeypatch)
+        objective_ = make_objective(ds)
+        for raw in (np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.array([0.3, 0.9])):
+            assert objective_(raw) == float64_oracle(ds, raw)
+        assert seen == [(np.float32, 4)] * 3
+
+    @pytest.mark.parametrize("n_models", [1, 4, 8])
+    def test_float32_and_float64_margins_differ_by_less_than_delta(self, n_models):
+        rng = np.random.default_rng(n_models)
+        stack = rng.random((n_models, 3, 5000))
+        delta = objective._screen_width(stack)
+        assert 0.0 < delta < (2 * n_models + 9) * 2.0 ** -24
+        for _ in range(20):
+            weights = exact_simplex(rng.random(n_models) + 1e-3)
+            fused32 = combine(weights.astype(np.float32), stack.astype(np.float32))
+            fused64 = combine(weights, stack)
+            gap = (fused32[1:] - fused32[0]) - (fused64[1:] - fused64[0])
+            assert np.abs(gap).max() <= delta
+
+    def test_calls_leave_the_scorer_tables_unchanged(self):
+        ds = tied_dataset(0, 3, 4)
+        for variant in ("fused_accuracy", "score_mass"):
+            scorer = objective._Scorer(ds, variant)
+            tables = (scorer._classes, scorer._classes32, scorer._tie)
+            before = [table.copy() for table in tables]
+            for raw in (np.ones(3), np.array([0.0, 2.0, 1.0]), np.array([0.2, 0.7, 0.1])):
+                scorer(raw)
+            for table, copy in zip(tables, before):
+                assert not table.flags.writeable
+                assert np.array_equal(table, copy)
 
 
 class TestConfusion:
