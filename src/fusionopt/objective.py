@@ -14,7 +14,6 @@ readings of cumulative accuracy are exposed:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,52 +105,54 @@ def check_variant(variant: str) -> None:
 
 
 def _screen_width(stack) -> np.float32:
-    """The screen's ``δ``: float32 margins beyond ``±δ`` have the float64 sign.
+    """The screen's ``delta``: float32 margins beyond +/-delta have the float64 sign.
 
-    Let ``D`` be a sample's exact margin ``Σ_m w_m (s_mr - s_m0)`` for a
+    Let ``D`` be a sample's exact margin ``sum_m w_m (s_mr - s_m0)`` for a
     rival ``r`` over its true class 0, ``d`` the float32 screen's value and
-    ``e`` the float64 path's. Then ``|d - D| + |e - D| ≤ δ``, so ``d > δ``
-    gives ``e > 0`` and ``d < -δ`` gives ``e < 0``.
+    ``e`` the float64 path's. Then ``|d - D| + |e - D| <= delta``, so
+    ``d > delta`` gives ``e > 0`` and ``d < -delta`` gives ``e < 0``.
 
-    Proof. Let u = 2⁻²⁴ and v = 2⁻⁵³ be the float32 and float64 unit
-    roundoffs, t = 2⁻¹⁵⁰ and t' = 2⁻¹⁰⁷⁵ half their subnormal spacings,
-    γ_n = nu/(1 - nu) and γ'_n the same with v (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, §3.1: a product of n factors
-    (1 + ε_i)^±1 with |ε_i| ≤ u is 1 + θ_n with |θ_n| ≤ γ_n). M is the
-    number of models, A the largest |score|, and W = Σ w_m ≤ 1 + v, since
-    the weights are nonnegative with ``math.fsum`` exactly 1. Scores lie in
-    [0, 1], so no float32 value overflows.
+    Proof. Let u = 2**-24 and v = 2**-53 be the float32 and float64 unit
+    roundoffs, t = 2**-150 and t' = 2**-1075 half their subnormal spacings,
+    g_n = nu/(1 - nu) and g'_n the same with v (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 3.1: a product of n
+    factors (1 + e_i)**(+/-1) with |e_i| <= u is 1 + th_n, |th_n| <= g_n).
+    M is the number of models, A the largest |score|, and W = sum_m w_m
+    <= 1 + v, since the weights are nonnegative with ``math.fsum`` exactly
+    1. Scores lie in [0, 1], so no float32 value overflows.
 
-    1. Rounding a real x to float32 gives x(1 + ε) + η with |ε| ≤ u and
-       |η| ≤ t, η being the absolute error of underflow. So the rounded
-       weight is w(1 + ε₁) + η₁, the rounded score s(1 + ε₂) + η₂, and
-       their float32 product p = ws(1 + θ₃) + ζ with
-       |ζ| ≤ (1 + u)²(w + |s|)t + (1 + u)t² + t.
+    1. Rounding a real x to float32 gives x(1 + e) + h with |e| <= u and
+       |h| <= t, h being the absolute error of underflow. So the rounded
+       weight is w(1 + e1) + h1, the rounded score s(1 + e2) + h2, and
+       their float32 product p = ws(1 + th_3) + z with
+       |z| <= (1 + u)**2 (w + |s|) t + (1 + u) t**2 + t.
     2. A float sum or difference is exact when it underflows, so it only
-       multiplies by 1 + ε. Recursive summation of the M products gives
-       each a factor 1 + θ_{M-1} (Higham §4.2), and the subtraction of the
-       true class's sum one more, so
-       d = Σ_m w_m s_mr(1 + θ_{M+3}) - Σ_m w_m s_m0(1 + θ_{M+3})
-           + Σ_m (ζ_mr - ζ_m0)(1 + θ_M), and
-       |d - D| ≤ 2γ_{M+3}WA + (1 + γ_M)[2(1 + u)²(W + MA)t + 2M(1 + u)t² + 2Mt].
+       multiplies by 1 + e. Recursive summation of the M products gives
+       each a factor 1 + th_(M-1) (Higham section 4.2), and the subtraction
+       of the true class's sum one more, so
+       d = sum_m w_m s_mr (1 + th_(M+3)) - sum_m w_m s_m0 (1 + th_(M+3))
+           + sum_m (z_mr - z_m0)(1 + th_M), and
+       |d - D| <= 2 g_(M+3) W A
+                  + (1 + g_M)[2(1 + u)**2 (W + M A) t + 2M(1 + u) t**2 + 2M t].
     3. The float64 path rounds no input and its products underflow by at
-       most t', so |e - D| ≤ 2γ'_{M+1}WA + 2M(1 + γ'_M)t'.
-    4. Let n = M + 4 with nu < 1. Then γ_n - γ_{n-1} ≥ u, while
-       γ_{M+3} < 2²⁴ and M < 2²⁴ put each of γ_{M+3}v, γ'_{M+1}(1 + v) and
-       (1 + γ_M)(1 + u)²Mt below u/30: the A terms of steps 2 and 3 sum to
-       at most 2γ_n A. Likewise 2(1 + u)²W + 2M(1 + u)t < 3, and
-       2M(1 + γ'_M)t' < t, so the t terms sum to at most 2(1 + γ_n)(n - 2)t.
+       most t', so |e - D| <= 2 g'_(M+1) W A + 2M(1 + g'_M) t'.
+    4. Let n = M + 4 with nu < 1. Then g_n - g_(n-1) >= u, while
+       g_(M+3) < 2**24 and M < 2**24 put each of g_(M+3) v, g'_(M+1)(1 + v)
+       and (1 + g_M)(1 + u)**2 M t below u/30: the A terms of steps 2 and 3
+       sum to at most 2 g_n A. Likewise 2(1 + u)**2 W + 2M(1 + u) t < 3 and
+       2M(1 + g'_M) t' < t, so the t terms sum to at most
+       2(1 + g_n)(n - 2) t.
 
-    Hence δ = 2γ_n A + 2(1 + γ_n)(n - 2)t; for M = 4 and scores in [0, 1]
-    it is about (2M + 8)·2⁻²⁴. This evaluates it in float64, a few
-    operations each off by a relative 2⁻⁵³ at most, and returns the float32
-    just above the nearest one, which exceeds the float64 value by at least
-    half a float32 spacing and so exceeds δ. When nu ≥ 1, δ is infinite and
-    every sample goes to the float64 path.
+    Hence delta = 2 g_n A + 2(1 + g_n)(n - 2) t; for scores in [0, 1] it is
+    about (2M + 8) * 2**-24. This evaluates it in float64, a few operations
+    each off by a relative 2**-53 at most, and returns the float32 just
+    above the nearest one, which exceeds the float64 value by at least half
+    a float32 spacing and so exceeds delta. When nu >= 1, delta is infinite
+    and every sample goes to the float64 path.
     """
     u, t = 2.0 ** -24, 2.0 ** -150
     n = stack.shape[0] + 4
-    gamma = n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
+    gamma = n * u / (1.0 - n * u) if n * u < 1.0 else np.inf
     largest = float(np.abs(stack).max())
     bound = 2.0 * gamma * (largest + (n - 2) * t) + 2.0 * (n - 2) * t
     return np.nextafter(np.float32(bound), np.float32(np.inf))
@@ -163,24 +164,25 @@ class _Scorer:
     The data is laid out once, true class first: a copy of the stack of
     shape (M, K, N) whose row 0 holds each sample's true-class score and
     whose rows 1..K-1 hold its rivals in ascending class order, plus a
-    (K-1, N) tie table. :func:`fusion.combine` sums in model order whatever
-    the layout, so the fused values are :func:`fusion.fuse`'s bit for bit.
-    Under the argmax rule, ties going to the lowest class, a sample is
-    wrong when a rival below its label scores at least as much as the true
-    class, or a rival above it scores more. The difference of two finite
-    doubles is zero only when they are equal and keeps its sign under
-    gradual underflow, so both cases read ``rival - true >= tie``, with a
-    tie entry of 0.0 below the label and the smallest subnormal above it.
+    (K-1, N) tie table. A call then only fuses and compares.
+    :func:`fusion.combine` sums in model order whatever the layout, so the
+    fused values are :func:`fusion.fuse`'s bit for bit. Under the argmax
+    rule, ties going to the lowest class, a sample is wrong when a rival
+    below its label scores at least as much as the true class, or a rival
+    above it scores more. The difference of two finite doubles is zero only
+    when they are equal and keeps its sign under gradual underflow, so both
+    cases read ``rival - true >= tie``, with a tie entry of 0.0 below the
+    label and the smallest subnormal above it.
 
     ``fused_accuracy`` first screens every sample in float32: it fuses a
     float32 copy of the layout under the float32-rounded weights and takes
     each sample's largest rival score minus its true score; rounding is
-    monotone, so that is its largest rival margin. Beyond ``±δ`` (see
-    :func:`_screen_width`) a float32 margin has the float64 margin's sign,
-    so a sample above ``δ`` is wrong, and one below ``-δ`` has every float64
-    margin negative and is right, under either tie entry. Only the samples
-    in between, near a tie, go through the float64 rule on their own
-    columns, so the count is the float64 rule's exactly.
+    monotone, so that is its largest rival margin. Beyond ``+/-delta``
+    (see :func:`_screen_width`) a float32 margin has the float64 margin's
+    sign, so a sample above ``delta`` is wrong, and one below ``-delta``
+    has every float64 margin negative and is right, under either tie
+    entry. Only the samples in between, near a tie, go through the float64
+    rule on their own columns, so the count is the float64 rule's exactly.
     The layouts and the tie table are read-only; a call writes only to its
     own buffers.
     """

@@ -282,9 +282,9 @@ class TestFloat32Screen:
     def test_separated_samples_need_no_float64_fusion(self, monkeypatch):
         ds = hand_dataset()
         seen = counted_combine(monkeypatch)
-        objective_ = make_objective(ds)
+        score = make_objective(ds)
         for raw in (np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.array([0.3, 0.9])):
-            assert objective_(raw) == float64_oracle(ds, raw)
+            assert score(raw) == float64_oracle(ds, raw)
         assert seen == [(np.float32, 4)] * 3
 
     @pytest.mark.parametrize("n_models", [1, 4, 8])
