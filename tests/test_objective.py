@@ -239,11 +239,6 @@ def counted_combine(monkeypatch):
     return seen
 
 
-def one_model(rows, labels):
-    ids = tuple(f"s{i}" for i in range(len(rows)))
-    return align([ScoreMatrix("m", ids, np.array(rows))], LabelVector(ids, np.array(labels)))
-
-
 class TestFloat32Screen:
     """The float32 screen with its float64 re-check against the float64 rule."""
 
@@ -272,7 +267,9 @@ class TestFloat32Screen:
         # to a tie; the other two samples are far from one.
         near = [0.0, 0.375, 0.0]
         near[rival], near[2 - rival] = 0.375 + offset, 0.25 - offset
-        ds = one_model([near, [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]], [1, 0, 1])
+        ids = ("s0", "s1", "s2")
+        rows = np.array([near, [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+        ds = align([ScoreMatrix("m", ids, rows)], LabelVector(ids, np.array([1, 0, 1])))
         assert np.float32(near[rival]) == np.float32(0.375)
         seen = counted_combine(monkeypatch)
         error = make_objective(ds)(np.ones(1))
