@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FusionOptError, UsageError
 from .fusion import WeightVector, equal_weights, fuse, normalize, predict
-from .objective import OBJECTIVE_VARIANTS, confusion, make_objective, metrics
+from .objective import OBJECTIVE_VARIANTS, check_variant, confusion, make_objective, metrics
 from .optimizers import METHODS, OptimizerConfig, optimize, write_result_json
 from .scoreio import (
     REPORT_HEADER,
@@ -53,15 +53,17 @@ COMPARISON_ORDER = METHODS
 def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
     """Choose each method's weights on validation, score them on test, write the outputs.
 
-    Every method's settings are checked before any score file is read, the
-    objective is built once, and nothing is written until every method has
-    succeeded. ``json_path(method)`` names a method's result JSON.
+    Every search setting is checked here, under the seed and grid step left
+    after command-line overrides, before any score file is read. The objective
+    is built once, and nothing is written until every method has succeeded.
+    ``json_path(method)`` names a method's result JSON.
     """
-    configs = [
-        OptimizerConfig(method=method, seed=seed, grid_step=grid_step,
-                        params=manifest.params if method == manifest.method else {})
-        for method in methods
-    ]
+    check_variant(variant)
+    own = OptimizerConfig(method=manifest.method, seed=seed, grid_step=grid_step,
+                          params=manifest.params)
+    configs = [own if method == own.method else
+               OptimizerConfig(method=method, seed=seed, grid_step=grid_step)
+               for method in methods]
     validation, test = load_manifest_splits(manifest)
     objective = make_objective(validation, variant)
     results, rows = [], []

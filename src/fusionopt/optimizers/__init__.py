@@ -54,7 +54,8 @@ def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
     """
     if n_models < 1:
         raise ConfigError("need at least one model to optimize over")
-    tracker = EvaluationTracker(objective, config.max_evaluations)
+    # Grid points never repeat, so a memo for bf would only hold memory.
+    tracker = EvaluationTracker(objective, config.max_evaluations, memo=config.method != "bf")
     params = config.resolved()
     try:
         if config.method == "equal":

@@ -25,15 +25,12 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def grid_candidates(steps: int, n_models: int) -> list[np.ndarray]:
-    """The simplex grid in composition order, then equal weights if it is off the grid."""
-    candidates = [
-        np.array(comp, dtype=np.float64) / steps
-        for comp in _compositions(steps, n_models)
-    ]
+def grid_candidates(steps: int, n_models: int):
+    """Yield the simplex grid in composition order, then equal weights if it is off the grid."""
+    for comp in _compositions(steps, n_models):
+        yield np.array(comp, dtype=np.float64) / steps
     if steps % n_models:
-        candidates.append(np.full(n_models, 1.0 / n_models))
-    return candidates
+        yield np.full(n_models, 1.0 / n_models)
 
 
 def run(tracker: EvaluationTracker, n_models: int, steps: int) -> None:

@@ -233,17 +233,18 @@ class EvaluationTracker:
     all-zero shortcut, so the budget bound and the improvement trace hold
     uniformly across methods. A candidate already scored in this search is
     answered from a memo without calling the objective, yet still counts as
-    one evaluation.
+    one evaluation; a search that never repeats one passes ``memo=False``.
     """
 
-    def __init__(self, objective: Callable[[np.ndarray], float], max_evaluations: int):
+    def __init__(self, objective: Callable[[np.ndarray], float], max_evaluations: int,
+                 memo: bool = True):
         self._objective = objective
         self.max_evaluations = max_evaluations
         self.evaluations = 0
         self.best_error: float | None = None
         self.best_raw: np.ndarray | None = None
         self.trace: list[tuple[int, float]] = []
-        self._memo: dict[bytes, float] = {}
+        self._memo: dict[bytes, float] | None = {} if memo else None
 
     def affordable(self, count: int) -> int:
         """How many of ``count`` further candidates the budget can still evaluate.
@@ -261,11 +262,14 @@ class EvaluationTracker:
         raw = np.asarray(candidate, dtype=np.float64)
         if not (raw > 0.0).any():
             return 1.0  # worst by fiat; never evaluated, never the best
-        key = raw.tobytes()
-        error = self._memo.get(key)
-        if error is not None:
-            return error  # seen before, so it cannot move the best
-        error = self._memo[key] = float(self._objective(raw))
+        if self._memo is None:
+            error = float(self._objective(raw))
+        else:
+            key = raw.tobytes()
+            error = self._memo.get(key)
+            if error is not None:
+                return error  # seen before, so it cannot move the best
+            error = self._memo[key] = float(self._objective(raw))
         if self.best_error is None or error < self.best_error:
             self.best_error = error
             self.best_raw = raw.copy()

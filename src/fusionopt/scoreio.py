@@ -16,21 +16,23 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FusionOptError
+from .errors import ConfigError, DataError
 from .fusion import class_indices, exact_simplex
-from .objective import check_variant
-from .optimizers.common import DEFAULT_GRID_STEP, OptimizerConfig
+from .optimizers.common import DEFAULT_GRID_STEP
 
 ROW_SUM_TOLERANCE = 1e-6
 SPLITS = ("validation", "test")
 REPORT_HEADER = ("method", "precision", "recall", "f1", "accuracy", "objective", "weights")
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +130,8 @@ class LabelVector:
 class FusionDataset:
     """Model scores stacked as (M, N, K) over one sample_id sequence, plus labels.
 
-    Only :func:`align` and :func:`subset` build one, so the rows in ``stack``
-    are already checked and aligned with the labels; ``stack`` is read-only.
+    :func:`align` and :func:`subset` build one, and a reused test split re-tags
+    one, so ``stack`` holds checked rows aligned with the labels; it is read-only.
     """
 
     model_ids: tuple[str, ...]
@@ -439,7 +441,7 @@ MODEL_ENTRY_KEYS = {"id", "scores_path"}
 
 @dataclass(frozen=True)
 class Manifest:
-    """Validated experiment description; its field names are the manifest keys."""
+    """A manifest as read, one field per key; the runner checks its search settings."""
 
     models: tuple[tuple[str, Path], ...]
     labels_path: Path
@@ -456,7 +458,7 @@ MANIFEST_KEYS = frozenset(f.name for f in fields(Manifest))
 
 
 def load_manifest(path) -> Manifest:
-    """Read and check a manifest; its search settings go through :class:`OptimizerConfig`."""
+    """Read a manifest, checking its shape, keys, model entries and referenced paths."""
     path = Path(path)
     base = path.parent
     try:
@@ -487,17 +489,6 @@ def load_manifest(path) -> Manifest:
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{path}: duplicate model id '{_first_duplicate(ids)}'")
 
-    method = str(raw["method"])
-    seed = raw.get("seed")
-    params = raw.get("params", {})
-    grid_step = raw.get("grid_step", DEFAULT_GRID_STEP)
-    objective = str(raw.get("objective", "fused_accuracy"))
-    try:
-        OptimizerConfig(method=method, seed=seed, grid_step=grid_step, params=params)
-        check_variant(objective)
-    except FusionOptError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
     validation_ids_path = raw.get("validation_ids_path")
     if validation_ids_path is not None:
         validation_ids_path = base / str(validation_ids_path)
@@ -505,12 +496,12 @@ def load_manifest(path) -> Manifest:
     manifest = Manifest(
         models=tuple(models),
         labels_path=base / str(raw["labels_path"]),
-        method=method,
+        method=str(raw["method"]),
         output=base / str(raw["output"]),
-        params=dict(params),
-        seed=seed,
-        grid_step=float(grid_step),
-        objective=objective,
+        params=raw.get("params", {}),
+        seed=raw.get("seed"),
+        grid_step=raw.get("grid_step", DEFAULT_GRID_STEP),
+        objective=str(raw.get("objective", "fused_accuracy")),
         validation_ids_path=validation_ids_path,
     )
     referenced = [p for _, p in manifest.models] + [manifest.labels_path, validation_ids_path]
@@ -523,21 +514,24 @@ def load_manifest(path) -> Manifest:
 def load_manifest_splits(manifest: Manifest) -> tuple[FusionDataset, FusionDataset]:
     """Load, align, and carve a manifest into (validation, test) datasets.
 
-    Without a validation id list every sample is validation and the test
-    split reuses the same samples; with one, the test split is the
-    complement (or the validation samples again if the list covers
-    everything).
+    With a validation id list that leaves samples out, the test split is
+    the complement. Without a list, or with one that covers every sample,
+    the test split is the validation dataset re-tagged ``"test"``, sharing
+    its stack, and a warning says that test metrics are not held out.
     """
     matrices = [load_scores(path, model_id=mid) for mid, path in manifest.models]
     labels = load_labels(manifest.labels_path)
-    full = align(matrices, labels, split="validation")
-    if manifest.validation_ids_path is None:
-        return full, subset(full, full.sample_ids, "test")
-    val_ids = read_id_list(manifest.validation_ids_path)
-    validation = subset(full, val_ids, "validation")
-    val_set = set(val_ids)
-    rest = tuple(s for s in full.sample_ids if s not in val_set)
-    return validation, subset(full, rest if rest else val_ids, "test")
+    full = validation = align(matrices, labels, split="validation")
+    rest = ()
+    if manifest.validation_ids_path is not None:
+        val_ids = read_id_list(manifest.validation_ids_path)
+        val_set = set(val_ids)
+        rest = tuple(s for s in full.sample_ids if s not in val_set)
+        validation = subset(full, val_ids, "validation")
+    if rest:
+        return validation, subset(full, rest, "test")
+    logger.warning("the test split is the validation split; test metrics are not held out")
+    return validation, replace(validation, split="test")
 
 
 # --- report CSV ---------------------------------------------------------

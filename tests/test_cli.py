@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fusionopt
 from fusionopt.cli import main
 from fusionopt.scoreio import LabelVector, ScoreMatrix, load_scores, write_labels, write_scores
 from fusionopt.textprep import TextSample, read_samples, write_samples
@@ -359,6 +364,87 @@ class TestRunner:
         assert captured.out == ""
         assert captured.err.startswith("error: method 'bf': brute-force search holds ")
         assert list(tmp_path.glob("r*")) == []
+
+
+# Manifest settings the runner rejects, each with its exit code and error line.
+BAD_SETTINGS = {
+    "seedless-pso": ({"method": "pso", "seed": None}, 2,
+                     "method 'pso' is stochastic and requires an explicit seed"),
+    "unknown-method": ({"method": "annealing"}, 1,
+                       "unknown method 'annealing'; expected one of "
+                       "equal, pso, ga, bf, powell, nelder-mead"),
+    "small-swarm": ({"method": "pso", "params": {"swarm_size": 1}}, 1,
+                    "method 'pso': swarm_size must be at least 2"),
+    "foreign-param": ({"params": {"inertia": 0.5}}, 1,
+                      "method 'bf' does not accept parameter(s): inertia"),
+    "params-list": ({"params": [1]}, 1,
+                    "params must map parameter names to values, got [1]"),
+    "grid-step-true": ({"grid_step": True}, 1, "grid_step must lie in (0, 1], got True"),
+    "grid-step-0.3": ({"grid_step": 0.3}, 1,
+                      "method 'bf': grid_step 0.3 must divide 1 into a whole number of steps"),
+    "negative-seed": ({"seed": -1}, 1, "seed must be an unsigned 64-bit integer"),
+    "unknown-objective": ({"objective": "recall"}, 1,
+                          "unknown objective variant 'recall'; expected one of "
+                          "fused_accuracy, score_mass"),
+}
+
+
+def _manifest_with(root, settings, n_samples=30):
+    """A bf corpus whose manifest takes ``settings``; a None value drops its key."""
+    manifest = _write_corpus(root, tiered_dataset(3, n_samples=n_samples))
+    body = json.loads(manifest.read_text())
+    body.update(settings)
+    manifest.write_text(json.dumps({k: v for k, v in body.items() if v is not None}),
+                        encoding="utf-8")
+    return manifest
+
+
+class TestRunSettings:
+    @pytest.mark.parametrize("command", [["optimize"], ["compare"],
+                                         ["optimize", "--method", "equal"]],
+                             ids=["optimize", "compare", "optimize-equal"])
+    @pytest.mark.parametrize("case", BAD_SETTINGS)
+    def test_bad_setting_stops_the_run_before_reading_any_file(self, tmp_path, capsys,
+                                                               command, case):
+        settings, code, message = BAD_SETTINGS[case]
+        manifest = _manifest_with(tmp_path / "c", settings)
+        # Unreadable as a score table: reading it would raise a data error.
+        (manifest.parent / "m0.csv").write_text("not,a,score\ntable\n", encoding="utf-8")
+        assert main([*command, "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r.csv")]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(tmp_path.glob("r*")) == []
+
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    def test_seed_flag_rescues_a_seedless_stochastic_manifest(self, tmp_path, capsys,
+                                                              command):
+        manifest = _manifest_with(tmp_path / "c", {
+            "method": "pso", "seed": None, "params": {"swarm_size": 6, "iterations": 5}})
+        out = tmp_path / "r.csv"
+        assert main([command, "--manifest", str(manifest), "--seed", "7",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == (1 if command == "optimize" else 6)
+        result = tmp_path / ("r.json" if command == "optimize" else "r.pso.json")
+        assert json.loads(result.read_text())["seed"] == 7
+
+    @pytest.mark.parametrize("listed", [False, True], ids=["no-list", "full-list"])
+    def test_reused_test_split_warns_once_on_stderr(self, tmp_path, listed):
+        ds = tiered_dataset(4, n_samples=30)
+        manifest = _write_corpus(tmp_path / "c", ds,
+                                 validation_ids=list(ds.sample_ids) if listed else None,
+                                 manifest_extra={"method": "equal"})
+        src = Path(fusionopt.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "fusionopt", "optimize",
+                              "--manifest", str(manifest), "--out", str(tmp_path / "r.csv")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0
+        assert run.stderr == (
+            "the test split is the validation split; test metrics are not held out\n")
 
 
 class TestManifestEdges:

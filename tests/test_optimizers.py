@@ -16,6 +16,7 @@ from fusionopt.optimizers import (
     result_to_json,
     simplex_grid_size,
 )
+from fusionopt.optimizers.brute_force import grid_candidates
 from fusionopt.optimizers.common import BudgetExhausted, EvaluationTracker
 from fusionopt.optimizers.nelder_mead import run as nm_run
 
@@ -322,6 +323,12 @@ class TestBruteForce:
         assert counter["n"] == 232
         assert result.evaluations == 232
 
+    def test_grid_is_built_one_candidate_at_a_time(self):
+        candidates = grid_candidates(3, 2)
+        assert iter(candidates) is candidates
+        assert [c.tolist() for c in candidates] == [
+            [0.0, 1.0], [1 / 3, 2 / 3], [2 / 3, 1 / 3], [1.0, 0.0], [0.5, 0.5]]
+
     def test_single_model_is_one_evaluation(self):
         result = brute_force(lambda raw: 0.0, 1, grid_step=0.05)
         assert result.evaluations == 1
@@ -429,6 +436,14 @@ class TestTracker:
         with pytest.raises(BudgetExhausted):
             tracker.evaluate(np.array([0.2, 0.8]))
         assert (tracker.evaluations, len(calls)) == (3, 1)
+
+    def test_without_a_memo_each_repeat_reaches_the_objective(self):
+        calls = []
+        tracker = EvaluationTracker(lambda raw: calls.append(1) or 0.5, 3, memo=False)
+        for _ in range(3):
+            assert tracker.evaluate(np.array([0.2, 0.8])) == 0.5
+        assert (tracker.evaluations, len(calls), tracker.trace) == (3, 3, [(1, 0.5)])
+        np.testing.assert_array_equal(tracker.best_raw, [0.2, 0.8])
 
     def test_search_cut_off_by_the_budget_stops_at_exactly_the_budget(self):
         calls = []

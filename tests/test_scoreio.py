@@ -1,12 +1,17 @@
+import logging
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fusionopt.errors import ConfigError, DataError, UsageError
+from fusionopt.errors import ConfigError, DataError
+from fusionopt.objective import make_objective
 from fusionopt.scoreio import (
+    MANIFEST_KEYS,
     LabelVector,
     ReportRow,
     ScoreMatrix,
@@ -424,21 +429,6 @@ class TestManifest:
         with pytest.raises(ConfigError, match="labels_path"):
             load_manifest(path)
 
-    def test_stochastic_method_requires_seed(self, tmp_path):
-        import json
-        _manifest_files(tmp_path)
-        path = _write(tmp_path, "manifest.json", json.dumps(self._base(method="pso")))
-        with pytest.raises(UsageError, match="seed"):
-            load_manifest(path)
-
-    def test_unknown_method(self, tmp_path):
-        import json
-        _manifest_files(tmp_path)
-        path = _write(tmp_path, "manifest.json",
-                      json.dumps(self._base(method="annealing")))
-        with pytest.raises(ConfigError, match="annealing"):
-            load_manifest(path)
-
     def test_missing_referenced_file(self, tmp_path):
         import json
         _write(tmp_path, "labels.csv", "sample_id,label\ns1,0\n")
@@ -454,24 +444,56 @@ class TestManifest:
         with pytest.raises(ConfigError, match="model entry"):
             load_manifest(path)
 
-    @pytest.mark.parametrize("overrides, message", [
-        ({"method": "pso", "seed": 1, "params": {"swarm_size": 1}}, "swarm_size"),
-        ({"params": {"inertia": 0.5}}, "does not accept"),
-        ({"params": [1]}, "params"),
-        ({"grid_step": True}, "grid_step"),
-        ({"grid_step": 0.3}, "whole number"),
-        ({"seed": -1}, "seed"),
-        ({"objective": "recall"}, "recall"),
-    ])
-    def test_search_settings_rejected_with_path(self, tmp_path, overrides, message):
-        import json
-        _manifest_files(tmp_path)
-        path = _write(tmp_path, "manifest.json", json.dumps(self._base(**overrides)))
-        with pytest.raises(ConfigError, match=rf"manifest\.json: .*{message}"):
-            load_manifest(path)
+    def test_readme_manifest_bullet_names_exactly_the_manifest_keys(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        bullet = text.split("- **Manifest (JSON)**", 1)[1].split("\n- **", 1)[0]
+        # Parenthesized asides describe a key's value, not further keys.
+        while re.search(r"\([^()]*\)", bullet):
+            bullet = re.sub(r"\([^()]*\)", "", bullet)
+        named = re.findall(r"`([^`]+)`", bullet)
+        assert sorted(named) == sorted(MANIFEST_KEYS)
+
+
+def _split_manifest(tmp_path, ds, val_ids):
+    """Write ``ds`` and a manifest over it; ``val_ids`` None means no id list."""
+    import json
+    for matrix in ds.matrices:
+        write_scores(matrix, tmp_path / f"{matrix.model_id}.csv")
+    write_labels(ds.labels, tmp_path / "labels.csv")
+    body = {"models": [{"id": m, "scores_path": f"{m}.csv"} for m in ds.model_ids],
+            "labels_path": "labels.csv", "method": "equal", "output": "report.csv"}
+    if val_ids is not None:
+        _write(tmp_path, "val.txt", "\n".join(val_ids) + "\n")
+        body["validation_ids_path"] = "val.txt"
+    return load_manifest(_write(tmp_path, "manifest.json", json.dumps(body)))
 
 
 class TestLoadManifestSplits:
+    @pytest.mark.parametrize("listed", [False, True], ids=["no-list", "full-list"])
+    def test_reused_test_split_is_the_validation_data_retagged(self, tmp_path, caplog, listed):
+        ds = random_dataset(np.random.default_rng(9), n_models=2, n_samples=6)
+        val_ids = ds.sample_ids[::-1] if listed else None
+        manifest = _split_manifest(tmp_path, ds, val_ids)
+        with caplog.at_level(logging.WARNING, logger="fusionopt.scoreio"):
+            validation, test = load_manifest_splits(manifest)
+        assert [r.getMessage() for r in caplog.records] == [
+            "the test split is the validation split; test metrics are not held out"]
+        assert validation.sample_ids == (val_ids or ds.sample_ids)
+        assert (validation.split, test.split) == ("validation", "test")
+        assert np.shares_memory(test.stack, validation.stack)
+        assert test.labels is validation.labels
+        with pytest.raises(DataError, match="validation split"):
+            make_objective(test)
+
+    def test_held_out_test_split_does_not_warn(self, tmp_path, caplog):
+        ds = random_dataset(np.random.default_rng(9), n_models=2, n_samples=6)
+        manifest = _split_manifest(tmp_path, ds, ds.sample_ids[:4])
+        with caplog.at_level(logging.WARNING, logger="fusionopt.scoreio"):
+            validation, test = load_manifest_splits(manifest)
+        assert caplog.records == []
+        assert test.sample_ids == ds.sample_ids[4:]
+        assert not np.shares_memory(test.stack, validation.stack)
+
     def test_each_score_row_is_checked_once(self, tmp_path, monkeypatch):
         import json
         rng = np.random.default_rng(8)
