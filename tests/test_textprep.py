@@ -147,6 +147,16 @@ class TestUpsample:
         samples = _samples([0] * 9 + [1] * 2)
         assert upsample(samples, seed=7) == upsample(samples, seed=7)
 
+    def test_draws_are_pinned_for_one_seed(self):
+        samples = _samples([0] * 8 + [1] * 2 + [2] * 3)
+        out = upsample(samples, seed=2024)
+        assert out[:13] == samples
+        assert [s.sample_id for s in out[13:]] == [
+            "t9-up1", "t8-up2", "t8-up3", "t9-up4", "t9-up5", "t8-up6",
+            "t12-up1", "t12-up2", "t11-up3", "t11-up4", "t10-up5"]
+        assert [s.text for s in out[13:]] == [
+            samples[int(s.sample_id[1:].split("-")[0])].text for s in out[13:]]
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_unsigned_64_bits_rejected(self, seed):
         with pytest.raises(ConfigError, match="^seed must be an unsigned 64-bit integer$"):
