@@ -18,8 +18,9 @@ import csv
 import json
 import logging
 import math
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -185,53 +186,26 @@ def _first_duplicate(ids):
     return None
 
 
-def _records(fh):
-    """Yield ``(line, row)`` for each non-blank record after the header.
-
-    ``line`` counts CSV records from the header as line 1, blank records
-    included; a quoted field spanning several text lines is one record.
-    """
-    for lineno, row in enumerate(csv.reader(fh), start=1):
-        if lineno > 1 and row:
-            yield lineno, row
-
-
-def _first_fault(path, width: int, cell_fault) -> DataError:
-    """Describe the first text-level fault of a CSV, in record order.
-
-    The fast read only learns that some record is bad; this walk finds
-    which. Per record it checks the field count, then the sample_id for a
-    duplicate, then ``cell_fault(row)``, which returns a reason or None.
-    """
-    seen: dict[str, int] = {}
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        for lineno, row in _records(fh):
-            if len(row) != width:
-                return DataError(f"{path}:{lineno}: expected {width} fields, found {len(row)}")
-            sid = row[0]
-            if sid in seen:
-                return DataError(
-                    f"{path}:{lineno}: duplicate sample_id '{sid}' "
-                    f"(first seen at line {seen[sid]})"
-                )
-            seen[sid] = lineno
-            reason = cell_fault(row)
-            if reason is not None:
-                return DataError(f"{path}:{lineno}: {reason}")
-    return DataError(f"{path}: changed while it was read")
+@contextmanager
+def open_input(path, error=DataError, newline=None):
+    """Open an input file as UTF-8 less a leading BOM; a non-UTF-8 byte raises ``error``."""
+    try:
+        with path.open(encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
 def _read_table(path, check_header, parse, cell_fault):
-    """Read a sample_id-keyed CSV into its header, sample_ids and parsed cells.
+    """Read a sample_id-keyed CSV, once, into its header, ids, parsed cells and line map.
 
-    Records are streamed: the ids gather in one list and the other cells
-    in one flat list of strings, so no per-record list outlives its record.
-    ``parse`` converts the flat list in one go and raises ``ValueError`` on
-    any cell it rejects; that, a field-count mismatch or a duplicate id
-    hands over to :func:`_first_fault`, which names the first bad record.
-    Blank records are skipped.
+    Ids stream into one list and other cells into one flat list, up to a record
+    with the wrong field count; ``line(i)`` is row ``i``'s record number (header
+    1, blank records counted). If ``parse`` rejects a cell (``ValueError``), a
+    count is wrong or an id repeats, the first fault is found in memory, per
+    record a duplicate id, then ``cell_fault(cells)`` (a reason or None).
     """
-    with path.open(encoding="utf-8-sig", newline="") as fh:
+    with open_input(path, newline="") as fh:  # so quoted line breaks reach csv intact
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -240,31 +214,49 @@ def _read_table(path, check_header, parse, cell_fault):
         width = len(header)
         ids: list[str] = []
         cells: list[str] = []
-        complete = True
+        blanks: list[int] = []  # len(ids) at each blank record
+        bad = None
         for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                complete = False
+            if len(row) == width:
+                ids.append(row[0])
+                cells += row[1:]
+            elif row:
+                bad = row
                 break
-            ids.append(row[0])
-            cells += row[1:]
-    if complete and len(set(ids)) == len(ids):
+            else:
+                blanks.append(len(ids))
+
+    def line(i: int) -> int:
+        return i + 2 + bisect_right(blanks, i)
+
+    if bad is None and len(set(ids)) == len(ids):
         if not ids:
             raise DataError(f"{path}: no samples")
         try:
-            return header, ids, parse(cells)
+            return header, ids, parse(cells), line
         except ValueError:
             pass
-    raise _first_fault(path, width, cell_fault)
+    seen: dict[str, int] = {}
+    step = width - 1
+    for i, sid in enumerate(ids):
+        if sid in seen:
+            raise DataError(
+                f"{path}:{line(i)}: duplicate sample_id '{sid}' "
+                f"(first seen at line {line(seen[sid])})"
+            )
+        seen[sid] = i
+        reason = cell_fault(cells[i * step:(i + 1) * step])
+        if reason is not None:
+            raise DataError(f"{path}:{line(i)}: {reason}")
+    raise DataError(f"{path}:{line(len(ids))}: expected {width} fields, found {len(bad)}")
 
 
 def _parse_scores(cells) -> np.ndarray:
     return np.array(list(map(float, cells)))
 
 
-def _score_fault(row) -> str | None:
-    for col, cell in enumerate(row[1:]):
+def _score_fault(cells) -> str | None:
+    for col, cell in enumerate(cells):
         try:
             float(cell)
         except ValueError:
@@ -279,11 +271,11 @@ def _parse_labels(cells) -> np.ndarray:
     return labels
 
 
-def _label_fault(row) -> str | None:
+def _label_fault(cells) -> str | None:
     try:
-        label = int(row[1])
+        label = int(cells[0])
     except ValueError:
-        return f"non-integer label {row[1]!r}"
+        return f"non-integer label {cells[0]!r}"
     return f"negative label {label}" if label < 0 else None
 
 
@@ -304,7 +296,7 @@ def load_scores(path, model_id: str | None = None) -> ScoreMatrix:
                 "'sample_id,class_0,...,class_{K-1}' with K >= 2"
             )
 
-    header, ids, values = _read_table(path, check_header, _parse_scores, _score_fault)
+    header, ids, values, line = _read_table(path, check_header, _parse_scores, _score_fault)
     try:
         return ScoreMatrix(
             model_id if model_id is not None else path.stem,
@@ -314,9 +306,7 @@ def load_scores(path, model_id: str | None = None) -> ScoreMatrix:
     except DataError as exc:
         if exc.row is None:
             raise
-        with path.open(encoding="utf-8-sig", newline="") as fh:
-            lineno, _ = next(islice(_records(fh), exc.row, None))
-        raise DataError(f"{path}:{lineno}: {exc.reason}") from None
+        raise DataError(f"{path}:{line(exc.row)}: {exc.reason}") from None
 
 
 def write_scores(matrix: ScoreMatrix, path) -> None:
@@ -339,7 +329,7 @@ def load_labels(path) -> LabelVector:
                 f"{path}:1: malformed header {header!r}; expected 'sample_id,label'"
             )
 
-    _, ids, labels = _read_table(path, check_header, _parse_labels, _label_fault)
+    _, ids, labels, _ = _read_table(path, check_header, _parse_labels, _label_fault)
     return LabelVector(ids, labels)
 
 
@@ -349,14 +339,14 @@ def write_labels(labels: LabelVector, path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "label"])
-        for sid, label in zip(labels.sample_ids, labels.labels):
-            writer.writerow([sid, int(label)])
+        writer.writerows(zip(labels.sample_ids, labels.labels.tolist()))
 
 
 def read_id_list(path) -> tuple[str, ...]:
     """Read a newline-separated sample_id list; blank lines are skipped."""
     path = Path(path)
-    ids = [line.strip() for line in path.read_text(encoding="utf-8-sig").splitlines()]
+    with open_input(path) as fh:
+        ids = [line.strip() for line in fh]
     ids = [s for s in ids if s]
     if not ids:
         raise DataError(f"{path}: no sample ids")
@@ -462,7 +452,8 @@ def load_manifest(path) -> Manifest:
     path = Path(path)
     base = path.parent
     try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
+        with open_input(path, ConfigError) as fh:
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -575,8 +566,6 @@ class ReportRow:
 
 def write_report(rows, path) -> None:
     """Write report rows as CSV with a deterministic column order."""
-    if isinstance(rows, ReportRow):
-        rows = [rows]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:

@@ -18,10 +18,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Protocol
 
-import numpy as np
-
 from .errors import AugmentationError, DataError
-from .optimizers.common import check_seed
+from .optimizers.common import check_seed, rng_stream
+from .scoreio import open_input
 
 _URL_RE = re.compile(r"https?://\S*")
 _HANDLE_RE = re.compile(r"@\w+")
@@ -114,7 +113,7 @@ def upsample(samples: list[TextSample], seed: int) -> list[TextSample]:
         by_label.setdefault(sample.label, []).append(sample)
     target = max(len(members) for members in by_label.values())
     out = list(samples)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = rng_stream(seed)
     for label in sorted(by_label):
         members = by_label[label]
         deficit = target - len(members)
@@ -163,7 +162,9 @@ def read_samples(path) -> list[TextSample]:
     """Read JSONL samples, reporting the offending line on parse errors."""
     path = Path(path)
     samples = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    with open_input(path) as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

@@ -602,6 +602,49 @@ class TestPrep:
         assert "in.jsonl:1" in capsys.readouterr().err
 
 
+class TestInputEncoding:
+    """Every input file is UTF-8, with an optional byte order mark."""
+
+    # file name inside the corpus -> the command that reads it
+    READERS = {
+        "score CSV": ("m1.csv", ["evaluate", "--scores", "{c}/m1.csv",
+                                 "--labels", "{c}/labels.csv"]),
+        "labels CSV": ("labels.csv", ["evaluate", "--scores", "{c}/m1.csv",
+                                      "--labels", "{c}/labels.csv"]),
+        "id list": ("validation_ids.txt", ["optimize", "--manifest", "{c}/manifest.json",
+                                           "--out", "{c}/r.csv"]),
+        "manifest": ("manifest.json", ["optimize", "--manifest", "{c}/manifest.json",
+                                       "--out", "{c}/r.csv"]),
+        "JSONL": ("in.jsonl", ["prep", "clean", "{c}/in.jsonl", "--out", "{c}/o.jsonl"]),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_byte_that_is_not_utf8_exits_one_naming_the_file(self, tmp_path, capsys,
+                                                               reader):
+        ds = tiered_dataset(5, n_samples=20)
+        corpus = tmp_path / "c"
+        _write_corpus(corpus, ds, validation_ids=list(ds.sample_ids[:10]))
+        write_samples([TextSample("a", "water!", 0, "en")], corpus / "in.jsonl")
+        name, argv = self.READERS[reader]
+        target = corpus / name
+        data = target.read_bytes()
+        target.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+        assert main([arg.format(c=corpus) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {target}: not valid UTF-8 (invalid start byte)\n"
+        assert not (corpus / "r.csv").exists() and not (corpus / "o.jsonl").exists()
+
+    def test_jsonl_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        write_samples([TextSample("a", "water!!", 0, "en")], plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for src in (plain, marked):
+            assert main(["prep", "clean", str(src), "--out", str(tmp_path / src.name[0])]) == 0
+        assert (tmp_path / "m").read_bytes() == (tmp_path / "p").read_bytes()
+        assert read_samples(tmp_path / "m")[0].text == "water"
+
+
 class TestUsage:
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,3 +1,5 @@
+import csv
+import io
 import logging
 import math
 import re
@@ -342,6 +344,10 @@ class TestIdList:
         path = _write(tmp_path, "ids.txt", "a\n\nb\nc\n")
         assert read_id_list(path) == ("a", "b", "c")
 
+    def test_only_line_ends_split_ids(self, tmp_path):
+        path = _write(tmp_path, "ids.txt", "p\u2028q\r\nr\rs\x85t\n")
+        assert read_id_list(path) == ("p\u2028q", "r", "s\x85t")
+
     def test_duplicates_rejected(self, tmp_path):
         path = _write(tmp_path, "ids.txt", "a\nb\na\n")
         with pytest.raises(DataError, match="duplicate"):
@@ -382,6 +388,102 @@ class TestByteOrderMark:
                            "output": "report.csv"})
         plain, marked = self._pair(tmp_path, "manifest.json", body)
         assert load_manifest(marked) == load_manifest(plain)
+
+
+def _count_opens(monkeypatch):
+    """From now on, record the name of every file opened through ``Path.open``."""
+    opened = []
+    real = Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs:
+                        opened.append(self.name) or real(self, *args, **kwargs))
+    return opened
+
+
+# The last row of "header, s1, blank record, row" and the error it gives;
+# "" marks a clean file.
+FAULTY_SCORES = {
+    "clean": ("s2,0.3,0.7", ""),
+    "short row": ("s2,0.3", "m.csv:4: expected 3 fields, found 2"),
+    "duplicate": ("s1,0.3,0.7", "m.csv:4: duplicate sample_id 's1' (first seen at line 2)"),
+    "non-numeric": ("s2,oops,0.7", "m.csv:4: non-numeric value 'oops' in column 'class_0'"),
+    "range": ("s2,1.5,-0.5", "m.csv:4: value 1.5 outside [0, 1] in column 'class_0'"),
+    "row sum": ("s2,0.5,0.4", "m.csv:4: row sums to 0.9, expected 1 within 1e-06"),
+}
+
+
+class TestSingleRead:
+    """A CSV is opened once; its first fault is found among the records already read."""
+
+    @pytest.mark.parametrize("case", FAULTY_SCORES)
+    def test_a_score_csv_is_opened_once(self, tmp_path, monkeypatch, case):
+        row, message = FAULTY_SCORES[case]
+        path = _write(tmp_path, "m.csv", f"sample_id,class_0,class_1\ns1,0.8,0.2\n\n{row}\n")
+        opened = _count_opens(monkeypatch)
+        if message:
+            with pytest.raises(DataError) as excinfo:
+                load_scores(path)
+            assert str(excinfo.value) == f"{tmp_path}/{message}"
+        else:
+            assert load_scores(path).sample_ids == ("s1", "s2")
+        assert opened == ["m.csv"]
+
+    @pytest.mark.parametrize("label, message", [
+        ("1", ""), ("x", "labels.csv:4: non-integer label 'x'"),
+        ("-2", "labels.csv:4: negative label -2")], ids=["clean", "non-integer", "negative"])
+    def test_a_labels_csv_is_opened_once(self, tmp_path, monkeypatch, label, message):
+        path = _write(tmp_path, "labels.csv", f"sample_id,label\na,0\n\nb,{label}\n")
+        opened = _count_opens(monkeypatch)
+        if message:
+            with pytest.raises(DataError) as excinfo:
+                load_labels(path)
+            assert str(excinfo.value) == f"{tmp_path}/{message}"
+        else:
+            assert load_labels(path).labels.tolist() == [0, 1]
+        assert opened == ["labels.csv"]
+
+    # Each example rewrites the same file, so reusing tmp_path is safe.
+    @pytest.mark.parametrize("kind", ["short", "long", "text", "range", "sum", "duplicate"])
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fault_line_counts_csv_records(self, tmp_path, kind, data):
+        n = data.draw(st.integers(2, 8), label="rows")
+        ids = [f"s{i}{suffix}" for i, suffix in enumerate(data.draw(st.lists(
+            st.sampled_from(["", ",x", "\ny", '"q"', "\r\nz,w"]), min_size=n, max_size=n)))]
+        rows = [[sid, "0.25", "0.75"] for sid in ids]
+        bad = data.draw(st.integers(int(kind == "duplicate"), n - 1), label="faulty row")
+        first = data.draw(st.integers(0, bad - 1), label="first seen") if bad else 0
+        rows[bad] = {
+            "short": rows[bad][:2], "long": rows[bad] + ["0"],
+            "text": [ids[bad], "oops", "0.75"], "range": [ids[bad], "1.5", "-0.5"],
+            "sum": [ids[bad], "0.5", "0.4"], "duplicate": [ids[first], "0.25", "0.75"],
+        }[kind]
+        blanks = data.draw(st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1),
+                           label="blank records before each row")
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["sample_id", "class_0", "class_1"])
+        for gap, row in zip(blanks, rows + [None]):
+            out.write("\n" * gap)
+            if row is not None:
+                writer.writerow(row)
+        text = out.getvalue()
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+
+        lines = [line for line, record in
+                 enumerate(csv.reader(io.StringIO(text, newline="")), 1)
+                 if line > 1 and record]
+        reason = {
+            "short": "expected 3 fields, found 2", "long": "expected 3 fields, found 4",
+            "text": "non-numeric value 'oops' in column 'class_0'",
+            "range": "value 1.5 outside [0, 1] in column 'class_0'",
+            "sum": "row sums to 0.9, expected 1 within 1e-06",
+            "duplicate": f"duplicate sample_id '{ids[first]}' "
+                         f"(first seen at line {lines[first]})",
+        }[kind]
+        with pytest.raises(DataError) as excinfo:
+            load_scores(path)
+        assert str(excinfo.value) == f"{path}:{lines[bad]}: {reason}"
 
 
 def _manifest_files(tmp_path):
@@ -531,7 +633,7 @@ class TestLoadManifestSplits:
 class TestReport:
     def test_single_row(self, tmp_path):
         out = tmp_path / "report.csv"
-        write_report(ReportRow("alpha", 0.75, 0.5, 0.6, 0.8), out)
+        write_report([ReportRow("alpha", 0.75, 0.5, 0.6, 0.8)], out)
         lines = out.read_text().splitlines()
         assert lines[0] == "method,precision,recall,f1,accuracy,objective,weights"
         assert lines[1] == "alpha,0.750000,0.500000,0.600000,0.800000,,"

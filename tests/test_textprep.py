@@ -207,6 +207,8 @@ class TestSamplesIO:
         samples = [
             TextSample("a", "l'acqua è pulita", 1, "it"),
             TextSample("b", "plain water", 0, "en"),
+            # json.dumps leaves these two line separators unescaped.
+            TextSample("c", "one\u2028two\x85three", 0, "en"),
         ]
         path = tmp_path / "samples.jsonl"
         write_samples(samples, path)
