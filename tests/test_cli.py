@@ -640,9 +640,11 @@ class TestInputEncoding:
         write_samples([TextSample("a", "water!!", 0, "en")], plain)
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         for src in (plain, marked):
-            assert main(["prep", "clean", str(src), "--out", str(tmp_path / src.name[0])]) == 0
-        assert (tmp_path / "m").read_bytes() == (tmp_path / "p").read_bytes()
-        assert read_samples(tmp_path / "m")[0].text == "water"
+            out = tmp_path / f"out-{src.name}"
+            assert main(["prep", "clean", str(src), "--out", str(out)]) == 0
+        assert (tmp_path / "out-marked.jsonl").read_bytes() == \
+            (tmp_path / "out-plain.jsonl").read_bytes()
+        assert read_samples(tmp_path / "out-marked.jsonl")[0].text == "water"
 
 
 class TestUsage:
