@@ -110,8 +110,21 @@ class FusedScores:
 
 
 def class_indices(values, error: type[FusionOptError], what: str) -> np.ndarray:
-    """``values`` as a fresh int64 array; a value not a whole number >= 0 raises ``error``."""
+    """``values`` as a fresh int64 array; ``error`` for a value not a whole number in [0, 2**63).
+
+    A number past int64 arrives as uint64, float64 or a Python int in an
+    object array, which no float need hold; the cast would wrap it silently.
+    """
     arr = np.array(values, copy=True)
+
+    def check_int64(values):
+        beyond = np.abs(values) >= 2 ** 63
+        if beyond.any():
+            raise error(f"{what} must be class indices int64 can hold, "
+                        f"got {int(values[beyond][0])}")
+
+    if arr.dtype.kind == "O":
+        check_int64(arr)
     if arr.dtype.kind not in "iub":
         arr = arr.astype(np.float64)
         whole = np.isfinite(arr) & (arr == np.trunc(arr))
@@ -119,6 +132,8 @@ def class_indices(values, error: type[FusionOptError], what: str) -> np.ndarray:
             raise error(f"{what} must be whole class indices, got {float(arr[~whole][0])!r}")
     if arr.size and arr.min() < 0:
         raise error(f"{what} must be nonnegative class indices")
+    if arr.dtype.kind not in "ib":
+        check_int64(arr)
     return arr.astype(np.int64, copy=False)
 
 
@@ -154,14 +169,19 @@ def equal_weights(n_models: int) -> WeightVector:
     return WeightVector(np.full(n_models, 1.0 / n_models))
 
 
+def check_weight_count(weights, n_models: int) -> None:
+    """The one weight-count rule: exactly one weight per model."""
+    if len(weights) != n_models:
+        raise InvalidWeightsError(f"got {len(weights)} weights for {n_models} models")
+
+
 def combine(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """The fusion arithmetic: ``weights[0]*stack[0] + weights[1]*stack[1] + ...``.
 
     Sums over the leading model axis in model order, whatever the layout of
     the remaining axes, so every caller gets bit-identical fused values.
     """
-    if len(weights) != len(stack):
-        raise InvalidWeightsError(f"got {len(weights)} weights for {len(stack)} models")
+    check_weight_count(weights, len(stack))
     # One buffer for all products: on large tables a fresh temporary per
     # model costs more than the arithmetic.
     products = weights[:, None, None] * stack

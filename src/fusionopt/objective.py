@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fusion import WeightVector, combine, exact_simplex
+from .fusion import WeightVector, check_weight_count, combine, exact_simplex
 
 POSITIVE_CLASS = 1
 OBJECTIVE_VARIANTS = ("fused_accuracy", "score_mass")
@@ -107,41 +107,44 @@ def check_variant(variant: str) -> None:
 def _screen_width(stack) -> np.float32:
     """The screen's ``delta``: float32 margins beyond +/-delta have the float64 sign.
 
-    Let ``D`` be a sample's exact margin ``sum_m w_m (s_mr - s_m0)`` for a
-    rival ``r`` over its true class 0, ``d`` the float32 screen's value and
-    ``e`` the float64 path's. Then ``|d - D| + |e - D| <= delta``, so
-    ``d > delta`` gives ``e > 0`` and ``d < -delta`` gives ``e < 0``.
+    Let ``D`` be a sample's exact margin ``sum_m w_m a_m``, a_m = s_mr - s_m0,
+    for a rival ``r`` over its true class 0, ``d`` the screen's float32 sum
+    of ``fl32(w_m) * fl32(fl64(a_m))`` and ``e`` the float64 path's. Then
+    ``|d - D| + |e - D| <= delta``, so ``d > delta`` gives ``e > 0`` and
+    ``d < -delta`` gives ``e < 0``.
 
     Proof. Let u = 2**-24 and v = 2**-53 be the float32 and float64 unit
     roundoffs, t = 2**-150 and t' = 2**-1075 half their subnormal spacings,
     g_n = nu/(1 - nu) and g'_n the same with v (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, section 3.1: a product of n
     factors (1 + e_i)**(+/-1) with |e_i| <= u is 1 + th_n, |th_n| <= g_n).
-    M is the number of models, A the largest |score|, and W = sum_m w_m
-    <= 1 + v, since the weights are nonnegative with ``math.fsum`` exactly
-    1. Scores lie in [0, 1], so no float32 value overflows.
+    M is the number of models, A the largest |score|, so |a_m| <= 2A, and
+    W = sum_m w_m <= 1 + v, since the weights are nonnegative with
+    ``math.fsum`` exactly 1. Scores lie in [0, 1], so nothing overflows.
 
     1. Rounding a real x to float32 gives x(1 + e) + h with |e| <= u and
-       |h| <= t, h being the absolute error of underflow. So the rounded
-       weight is w(1 + e1) + h1, the rounded score s(1 + e2) + h2, and
-       their float32 product p = ws(1 + th_3) + z with
-       |z| <= (1 + u)**2 (w + |s|) t + (1 + u) t**2 + t.
-    2. A float sum or difference is exact when it underflows, so it only
-       multiplies by 1 + e. Recursive summation of the M products gives
-       each a factor 1 + th_(M-1) (Higham section 4.2), and the subtraction
-       of the true class's sum one more, so
-       d = sum_m w_m s_mr (1 + th_(M+3)) - sum_m w_m s_m0 (1 + th_(M+3))
-           + sum_m (z_mr - z_m0)(1 + th_M), and
-       |d - D| <= 2 g_(M+3) W A
-                  + (1 + g_M)[2(1 + u)**2 (W + M A) t + 2M(1 + u) t**2 + 2M t].
+       |h| <= t, h being the absolute error of underflow. A float difference
+       is exact when it underflows, so a table entry is
+       a_m(1 + e0)(1 + e1) + h1 with |e0| <= v; times the rounded weight
+       w_m(1 + e2) + h2 it is w_m a_m (1 + e0)(1 + e1)(1 + e2) + z_m with
+       |z_m| <= (1 + u)(w_m + 2(1 + v)A) t + t**2.
+    2. BLAS may add the M products in any order, fuse a product into an
+       addition (FMA) or split the sum over threads; alpha 1 and beta 0 are
+       exact, and each operation rounds once, to float32 or finer. So a
+       product meets at most M roundings, its own or its FMA's and one per
+       addition above it, and only the M products or FMAs underflow
+       inexactly, by t at most. In any order, as (1 + v)(1 + g_(M+2)) <=
+       1 + g_(M+3),
+       |d - D| <= 2 g_(M+3) W A + (1 + g_M)[(1 + u)(W + 2(1 + v) M A) t
+                  + M t**2 + M t].
     3. The float64 path rounds no input and its products underflow by at
        most t', so |e - D| <= 2 g'_(M+1) W A + 2M(1 + g'_M) t'.
     4. Let n = M + 4 with nu < 1. Then g_n - g_(n-1) >= u, while
        g_(M+3) < 2**24 and M < 2**24 put each of g_(M+3) v, g'_(M+1)(1 + v)
-       and (1 + g_M)(1 + u)**2 M t below u/30: the A terms of steps 2 and 3
-       sum to at most 2 g_n A. Likewise 2(1 + u)**2 W + 2M(1 + u) t < 3 and
+       and (1 + g_M)(1 + u)(1 + v) M t below u/30: the A terms of steps 2
+       and 3 sum to at most 2 g_n A. Likewise (1 + u) W + M t < 2 and
        2M(1 + g'_M) t' < t, so the t terms sum to at most
-       2(1 + g_n)(n - 2) t.
+       (1 + g_n)(n - 1) t < 2(1 + g_n)(n - 2) t.
 
     Hence delta = 2 g_n A + 2(1 + g_n)(n - 2) t; for scores in [0, 1] it is
     about (2M + 8) * 2**-24. This evaluates it in float64, a few operations
@@ -164,27 +167,27 @@ class _Scorer:
     The data is laid out once, true class first: a copy of the stack of
     shape (M, K, N) whose row 0 holds each sample's true-class score and
     whose rows 1..K-1 hold its rivals in ascending class order, plus a
-    (K-1, N) tie table. A call then only fuses and compares.
-    :func:`fusion.combine` sums in model order whatever the layout, so the
-    fused values are :func:`fusion.fuse`'s bit for bit. Under the argmax
-    rule, ties going to the lowest class, a sample is wrong when a rival
-    below its label scores at least as much as the true class, or a rival
-    above it scores more. The difference of two finite doubles is zero only
-    when they are equal and keeps its sign under gradual underflow, so both
-    cases read ``rival - true >= tie``, with a tie entry of 0.0 below the
-    label and the smallest subnormal above it.
+    (K-1, N) tie table. :func:`fusion.combine` sums in model order whatever
+    the layout, so the fused values are :func:`fusion.fuse`'s bit for bit.
+    Under the argmax rule, ties going to the lowest class, a sample is
+    wrong when a rival below its label scores at least as much as the true
+    class, or a rival above it scores more. The difference of two finite
+    doubles is zero only when they are equal and keeps its sign under
+    gradual underflow, so both cases read ``rival - true >= tie``, with a
+    tie entry of 0.0 below the label and the smallest subnormal above it.
 
-    ``fused_accuracy`` first screens every sample in float32: it fuses a
-    float32 copy of the layout under the float32-rounded weights and takes
-    each sample's largest rival score minus its true score; rounding is
-    monotone, so that is its largest rival margin. Beyond ``+/-delta``
-    (see :func:`_screen_width`) a float32 margin has the float64 margin's
-    sign, so a sample above ``delta`` is wrong, and one below ``-delta``
-    has every float64 margin negative and is right, under either tie
-    entry. Only the samples in between, near a tie, go through the float64
-    rule on their own columns, so the count is the float64 rule's exactly.
-    The layouts and the tie table are read-only; a call writes only to its
-    own buffers.
+    ``fused_accuracy`` first screens every sample in float32 on a margin
+    table of shape (M, (K-1)*N): each rival's score minus the true score,
+    subtracted in float64 and rounded to float32. One matrix-vector
+    product of the float32-rounded weights with it (a BLAS ``sgemv``) gives
+    every rival's margin, and the largest over the rivals is the sample's.
+    Beyond ``+/-delta`` (see :func:`_screen_width`, whose bound holds in
+    any summation order) a float32 margin has the float64 margin's sign,
+    so a sample above ``delta`` is wrong, and one below ``-delta`` has
+    every float64 margin negative and is right, under either tie entry.
+    Only the samples in between, near a tie, go through the float64 rule
+    on their own columns, so the count is the float64 rule's exactly. The
+    tables are read-only; a call writes only to its own buffers.
     """
 
     def __init__(self, dataset, variant: str):
@@ -199,22 +202,23 @@ class _Scorer:
         self._variant = variant
         self._classes = np.ascontiguousarray(
             np.take_along_axis(dataset.stack.transpose(0, 2, 1), order[None], axis=1))
-        self._classes32 = self._classes.astype(np.float32)
+        margins = self._classes[:, 1:] - self._classes[:, :1]
+        self._margins = margins.astype(np.float32).reshape(len(margins), -1)
         self._tie = np.where(rival < y, 0.0, np.nextafter(0.0, 1.0))
         self._delta = _screen_width(self._classes)
-        for table in (self._classes, self._classes32, self._tie):
+        for table in (self._classes, self._margins, self._tie):
             table.setflags(write=False)
 
     def __call__(self, raw) -> float:
         weights = exact_simplex(WeightVector(raw).values)
         if self._variant == "score_mass":
             return float(np.mean(combine(weights, self._classes[:, :1])[0]))
-        fused = combine(weights.astype(np.float32), self._classes32)
-        margin = fused[1:].max(axis=0)
-        margin -= fused[0]
+        check_weight_count(weights, len(self._margins))
+        screen = weights.astype(np.float32) @ self._margins
+        margin = screen.reshape(len(self._tie), -1).max(axis=0)
         wrong = np.count_nonzero(margin > self._delta)
-        near = np.flatnonzero(np.abs(margin) <= self._delta)
-        if near.size:
+        if np.count_nonzero(margin >= -self._delta) > wrong:  # a margin within +/-delta
+            near = np.flatnonzero(np.abs(margin) <= self._delta)
             exact = combine(weights, self._classes[:, :, near])
             exact[1:] -= exact[0]  # in place: ``exact`` is this call's own buffer
             wrong += np.count_nonzero((exact[1:] >= self._tie[:, near]).any(axis=0))

@@ -12,7 +12,7 @@ from fusionopt.cli import main
 from fusionopt.scoreio import LabelVector, ScoreMatrix, load_scores, write_labels, write_scores
 from fusionopt.textprep import TextSample, read_samples, write_samples
 
-from synthdata import tiered_dataset
+from synthdata import random_dataset, tiered_dataset
 
 
 def _write_corpus(root, dataset, validation_ids=None, manifest_extra=None):
@@ -93,6 +93,25 @@ class TestEvaluate:
         code = main(["evaluate", "--scores", str(scores), "--labels", str(labels)])
         assert code == 1
         assert "sums" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["9223372036854775808", "18446744073709551616"])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_label_past_int64_exits_one_without_a_report(self, tmp_path, capsys, label,
+                                                         first):
+        scores = tmp_path / "m.csv"
+        labels = tmp_path / "labels.csv"
+        scores.write_text("sample_id,class_0,class_1\na,0.9,0.1\nb,0.2,0.8\n",
+                          encoding="utf-8")
+        rows = [f"a,{label}", "b,1"] if first else ["a,0", f"b,{label}"]
+        labels.write_text("sample_id,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "report.csv"
+        code = main(["evaluate", "--scores", str(scores), "--labels", str(labels),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: labels must be class indices int64 can hold, got {label}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_constructed_confusion_profile_row(self, tmp_path, capsys):
         # Score file realizing tp=3, fp=1, fn=1, tn=5 with respect to class 1,
@@ -389,6 +408,13 @@ BAD_SETTINGS = {
 }
 
 
+def _module_env(**extra):
+    """The environment for ``python -m fusionopt`` on this checkout's source."""
+    src = Path(fusionopt.__file__).resolve().parents[1]
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def _manifest_with(root, settings, n_samples=30):
     """A bf corpus whose manifest takes ``settings``; a None value drops its key."""
     manifest = _write_corpus(root, tiered_dataset(3, n_samples=n_samples))
@@ -436,15 +462,38 @@ class TestRunSettings:
         manifest = _write_corpus(tmp_path / "c", ds,
                                  validation_ids=list(ds.sample_ids) if listed else None,
                                  manifest_extra={"method": "equal"})
-        src = Path(fusionopt.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-m", "fusionopt", "optimize",
                               "--manifest", str(manifest), "--out", str(tmp_path / "r.csv")],
-                             capture_output=True, text=True, env=env, timeout=120)
+                             capture_output=True, text=True, env=_module_env(), timeout=120)
         assert run.returncode == 0
         assert run.stderr == (
             "the test split is the validation split; test metrics are not held out\n")
+
+
+class TestThreadedBlas:
+    def test_compare_is_byte_identical_on_one_and_two_blas_threads(self, tmp_path):
+        # 4 models x 8 rivals x 16,000 validation samples make a margin table
+        # of 512,000 entries, above the size (about 460,000 in OpenBLAS 0.3.31)
+        # from which OpenBLAS splits ``sgemv`` over threads, which may change
+        # the order of its sums. The screen's bound holds in any order, so
+        # every count, and so every output, must stay the same.
+        ds = random_dataset(np.random.default_rng(5), n_models=4, n_samples=16_400,
+                            n_classes=9)
+        manifest = _write_corpus(
+            tmp_path / "corpus", ds, validation_ids=list(ds.sample_ids[:16_000]),
+            manifest_extra={"method": "pso", "grid_step": 0.25,
+                            "params": {"swarm_size": 4, "iterations": 10}})
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            run = subprocess.run([sys.executable, "-m", "fusionopt", "compare",
+                                  "--manifest", str(manifest), "--out", str(out / "cmp.csv")],
+                                 capture_output=True, text=True, timeout=300,
+                                 env=_module_env(OPENBLAS_NUM_THREADS=threads))
+            assert run.returncode == 0, run.stderr
+            runs.append((run.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert len(runs[0][1]) == 7
+        assert runs[0] == runs[1]
 
 
 class TestManifestEdges:

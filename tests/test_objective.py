@@ -1,3 +1,4 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -227,6 +228,12 @@ def float64_oracle(data, raw):
     return 1.0 - float(np.mean(np.argmax(fused, axis=1) == data.y))
 
 
+def float64_margins(scorer, weights):
+    """Each rival's float64 fused score minus the true class's, shaped (K-1, N)."""
+    fused = combine(weights, scorer._classes)
+    return fused[1:] - fused[0]
+
+
 def counted_combine(monkeypatch):
     """Patch the objective's ``combine`` to record the dtype and columns of each call."""
     seen = []
@@ -260,48 +267,82 @@ class TestFloat32Screen:
         raw[int(rng.integers(n_models))] += 1.0
         assert make_objective(data)(raw) == float64_oracle(data, raw)
 
-    @pytest.mark.parametrize("offset", [2.0 ** -30, -2.0 ** -30])
+    @pytest.mark.parametrize("offset", [2.0 ** -30, -2.0 ** -30, 2.0 ** -26, -2.0 ** -26])
     @pytest.mark.parametrize("rival", [0, 2])
-    def test_float32_tie_goes_to_the_float64_check(self, monkeypatch, rival, offset):
-        # The rival sits 2**-30 off the true class 1, which float32 rounds
-        # to a tie; the other two samples are far from one.
+    def test_near_tie_reaches_the_float64_check_on_one_column(self, monkeypatch, rival,
+                                                              offset):
+        # The rival sits a few float32 ulps or less off the true class 1, so
+        # its margin lies inside +/-delta; the other two samples are far
+        # from a tie.
         near = [0.0, 0.375, 0.0]
         near[rival], near[2 - rival] = 0.375 + offset, 0.25 - offset
         ids = ("s0", "s1", "s2")
         rows = np.array([near, [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
         ds = align([ScoreMatrix("m", ids, rows)], LabelVector(ids, np.array([1, 0, 1])))
-        assert np.float32(near[rival]) == np.float32(0.375)
+        scorer = objective._Scorer(ds, "fused_accuracy")
+        margins = scorer._margins.reshape(2, 3)
+        assert margins[rival // 2, 0] == np.float32(offset)
+        assert 0.0 < abs(offset) <= scorer._delta
         seen = counted_combine(monkeypatch)
         error = make_objective(ds)(np.ones(1))
         assert error == float64_oracle(ds, np.ones(1)) == 1.0 - (1 if offset > 0 else 2) / 3
-        assert seen == [(np.float32, 3), (np.float64, 1)]
+        assert seen == [(np.float64, 1)]
 
-    def test_separated_samples_need_no_float64_fusion(self, monkeypatch):
+    def test_separated_samples_make_no_float64_fusion(self, monkeypatch):
         ds = hand_dataset()
         seen = counted_combine(monkeypatch)
         score = make_objective(ds)
         for raw in (np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.array([0.3, 0.9])):
             assert score(raw) == float64_oracle(ds, raw)
-        assert seen == [(np.float32, 4)] * 3
+        assert seen == []
 
     @pytest.mark.parametrize("n_models", [1, 4, 8])
-    def test_float32_and_float64_margins_differ_by_less_than_delta(self, n_models):
+    def test_margin_table_margins_stay_within_delta(self, n_models):
         rng = np.random.default_rng(n_models)
-        stack = rng.random((n_models, 3, 5000))
-        delta = objective._screen_width(stack)
+        n, n_classes = 5000, 3
+        data = SimpleNamespace(split="validation", stack=rng.random((n_models, n, n_classes)),
+                               y=rng.integers(0, n_classes, n), num_classes=n_classes)
+        scorer = objective._Scorer(data, "fused_accuracy")
+        assert scorer._margins.shape == (n_models, (n_classes - 1) * n)
+        delta = scorer._delta
         assert 0.0 < delta < (2 * n_models + 9) * 2.0 ** -24
         for _ in range(20):
             weights = exact_simplex(rng.random(n_models) + 1e-3)
-            fused32 = combine(weights.astype(np.float32), stack.astype(np.float32))
-            fused64 = combine(weights, stack)
-            gap = (fused32[1:] - fused32[0]) - (fused64[1:] - fused64[0])
-            assert np.abs(gap).max() <= delta
+            screen = (weights.astype(np.float32) @ scorer._margins).reshape(n_classes - 1, n)
+            assert np.abs(screen - float64_margins(scorer, weights)).max() <= delta
 
-    def test_calls_leave_the_scorer_tables_unchanged(self):
+    @pytest.mark.parametrize("n_models", [2, 5, 8])
+    def test_any_summation_order_stays_within_delta(self, n_models):
+        # BLAS may add the products in any order; the proof of delta does
+        # not depend on it. Reversed model order and a pairwise tree, each
+        # addition rounded to float32, stand in for two such orders.
+        rng = np.random.default_rng(10 + n_models)
+        n, n_classes = 3000, 4
+        data = SimpleNamespace(split="validation", stack=rng.random((n_models, n, n_classes)),
+                               y=rng.integers(0, n_classes, n), num_classes=n_classes)
+        scorer = objective._Scorer(data, "fused_accuracy")
+
+        def pairwise(rows):
+            if len(rows) == 1:
+                return rows[0]
+            half = len(rows) // 2
+            return pairwise(rows[:half]) + pairwise(rows[half:])
+
+        for _ in range(10):
+            weights = exact_simplex(rng.random(n_models) + 1e-3)
+            products = weights.astype(np.float32)[:, None] * scorer._margins
+            assert products.dtype == np.float32
+            exact = float64_margins(scorer, weights)
+            for screen in (functools.reduce(np.add, products[::-1]), pairwise(products)):
+                screen = screen.reshape(n_classes - 1, n)
+                assert np.abs(screen - exact).max() <= scorer._delta
+                assert np.abs(screen.max(axis=0) - exact.max(axis=0)).max() <= scorer._delta
+
+    def test_calls_leave_every_table_read_only_and_unchanged(self):
         ds = tied_dataset(0, 3, 4)
         for variant in ("fused_accuracy", "score_mass"):
             scorer = objective._Scorer(ds, variant)
-            tables = (scorer._classes, scorer._classes32, scorer._tie)
+            tables = (scorer._classes, scorer._margins, scorer._tie)
             before = [table.copy() for table in tables]
             for raw in (np.ones(3), np.array([0.0, 2.0, 1.0]), np.array([0.2, 0.7, 0.1])):
                 scorer(raw)

@@ -338,6 +338,25 @@ class TestLabels:
             LabelVector(("a", "b"), [0, -1])
         np.testing.assert_array_equal(LabelVector(("a", "b"), [0.0, 1.0]).labels, [0, 1])
 
+    @pytest.mark.parametrize("labels, named", [
+        ([2 ** 63], 2 ** 63),
+        ([2 ** 64], 2 ** 64),
+        ([0, 2 ** 63], 2 ** 63),
+        ([2 ** 64, 0], 2 ** 64),
+        (np.array([1, 2 ** 63], dtype=np.uint64), 2 ** 63),
+        ([0.0, 1e19], 10 ** 19),
+        ([10 ** 400, 1], 10 ** 400),
+    ], ids=["uint64", "object", "float64", "object-first", "uint64-array", "float", "huge"])
+    def test_labels_past_int64_are_rejected_by_value(self, labels, named):
+        # Cast to int64 these would wrap to negative or arbitrary labels.
+        ids = tuple("ab"[:len(labels)])
+        with pytest.raises(DataError, match=(
+                rf"^labels must be class indices int64 can hold, got {named}$")):
+            LabelVector(ids, labels)
+
+    def test_largest_int64_label_is_kept(self):
+        assert LabelVector(("a",), [2 ** 63 - 1]).labels.tolist() == [2 ** 63 - 1]
+
 
 class TestIdList:
     def test_basic(self, tmp_path):
