@@ -27,7 +27,10 @@ def exact_simplex(values) -> np.ndarray:
     ``exact_simplex(exact_simplex(x))`` returns ``exact_simplex(x)`` unchanged.
     """
     vals = [float(v) for v in values]
-    total = math.fsum(vals)
+    try:
+        total = math.fsum(vals)
+    except OverflowError:  # finite entries whose sum float64 cannot hold
+        raise InvalidWeightsError("cannot normalize vector: its sum overflows float64") from None
     if not math.isfinite(total) or total <= 0.0:
         raise InvalidWeightsError(f"cannot normalize vector with sum {total!r}")
     if total == 1.0:
@@ -133,7 +136,8 @@ def class_indices(values, error: type[FusionOptError], what: str) -> np.ndarray:
     if arr.size and arr.min() < 0:
         raise error(f"{what} must be nonnegative class indices")
     if arr.dtype.kind not in "ib":
-        check_int64(arr)
+        # numpy reads a list that holds an int past int64 as float64, rounding it
+        check_int64(arr if isinstance(values, np.ndarray) else np.array(values, dtype=object))
     return arr.astype(np.int64, copy=False)
 
 

@@ -9,26 +9,24 @@ errors go to the lexicographically smallest vector.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from ..errors import ConfigError
 from .common import EvaluationTracker, simplex_grid_size
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def grid_candidates(steps: int, n_models: int):
-    """Yield the simplex grid in composition order, then equal weights if it is off the grid."""
-    for comp in _compositions(steps, n_models):
-        yield np.array(comp, dtype=np.float64) / steps
+    """Yield the simplex grid in lexicographic order, then equal weights if it is off the grid.
+
+    Stars and bars: each choice of ``n_models - 1`` bar slots out of ``steps +
+    n_models - 1`` is one point, its numerators the gaps between the bars, and
+    ``combinations`` order is lexicographic in those numerators.
+    """
+    end = steps + n_models - 1
+    for bars in combinations(range(end), n_models - 1):
+        yield np.array([(b - a - 1) / steps for a, b in zip((-1, *bars), (*bars, end))])
     if steps % n_models:
         yield np.full(n_models, 1.0 / n_models)
 

@@ -196,6 +196,16 @@ def open_input(path, error=DataError, newline=None):
         raise error(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``header``, then stream ``rows``, as UTF-8 CSV with LF line ends; make the folder."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _read_table(path, check_header, parse, cell_fault):
     """Read a sample_id-keyed CSV, once, into its header, ids, parsed cells and line map.
 
@@ -264,9 +274,9 @@ def _score_fault(cells) -> str | None:
     return None
 
 
-def _parse_labels(cells) -> np.ndarray:
-    labels = np.array(list(map(int, cells)))
-    if labels.min() < 0:
+def _parse_labels(cells) -> list[int]:
+    labels = list(map(int, cells))
+    if min(labels) < 0:
         raise ValueError("negative label")
     return labels
 
@@ -311,13 +321,9 @@ def load_scores(path, model_id: str | None = None) -> ScoreMatrix:
 
 def write_scores(matrix: ScoreMatrix, path) -> None:
     """Write a score CSV; floats use ``repr`` so they round-trip exactly."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     columns = (map(repr, col) for col in matrix.scores.T.tolist())
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id"] + [f"class_{i}" for i in range(matrix.num_classes)])
-        writer.writerows(zip(matrix.sample_ids, *columns))
+    _write_csv(path, ["sample_id"] + [f"class_{i}" for i in range(matrix.num_classes)],
+               zip(matrix.sample_ids, *columns))
 
 
 def load_labels(path) -> LabelVector:
@@ -334,12 +340,7 @@ def load_labels(path) -> LabelVector:
 
 
 def write_labels(labels: LabelVector, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "label"])
-        writer.writerows(zip(labels.sample_ids, labels.labels.tolist()))
+    _write_csv(path, ["sample_id", "label"], zip(labels.sample_ids, labels.labels.tolist()))
 
 
 def read_id_list(path) -> tuple[str, ...]:
@@ -408,15 +409,11 @@ def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDat
 
 
 def subset(dataset: FusionDataset, sample_ids, split: str) -> FusionDataset:
-    """Restrict an aligned dataset to ``sample_ids``, tagged with ``split``."""
+    """Restrict an aligned dataset to ``sample_ids`` as ``split``; its labels check the ids."""
     wanted = tuple(sample_ids)
-    if not wanted:
-        raise DataError("subset needs at least one sample id")
-    if len(set(wanted)) != len(wanted):
-        raise DataError(f"duplicate sample_id '{_first_duplicate(wanted)}' in subset")
     pos = {s: i for i, s in enumerate(dataset.sample_ids)}
     try:
-        perm = np.array([pos[s] for s in wanted])
+        perm = np.fromiter(map(pos.__getitem__, wanted), np.intp, len(wanted))
     except KeyError as exc:
         raise DataError(f"sample_id {exc.args[0]!r} not present in the dataset") from None
     return FusionDataset(dataset.model_ids, np.take(dataset.stack, perm, axis=1),
@@ -566,9 +563,4 @@ class ReportRow:
 
 def write_report(rows, path) -> None:
     """Write report rows as CSV with a deterministic column order."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        writer.writerows(r.cells() for r in rows)
+    _write_csv(path, REPORT_HEADER, (r.cells() for r in rows))

@@ -94,7 +94,8 @@ class TestEvaluate:
         assert code == 1
         assert "sums" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("label", ["9223372036854775808", "18446744073709551616"])
+    @pytest.mark.parametrize("label", ["9223372036854775808", "9223372036854775809",
+                                       "18446744073709551616"])
     @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
     def test_label_past_int64_exits_one_without_a_report(self, tmp_path, capsys, label,
                                                          first):
@@ -189,6 +190,26 @@ class TestFuse:
         assert code == 1
         assert capsys.readouterr().err == "error: got 2 weights for 1 models\n"
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("weights, code, message", [
+        ("1e308,1e308", 1, "cannot normalize vector: its sum overflows float64"),
+        ("0.5,x", 2, "could not parse --weights value '0.5,x'"),
+    ], ids=["sum-overflows", "not-a-number"])
+    def test_bad_weights_exit_with_one_error_line_and_no_output(self, tmp_path, capsys,
+                                                                weights, code, message):
+        for name, rows in (("m1", "a,0.8,0.2\nb,0.4,0.6\n"), ("m2", "a,0.2,0.8\nb,0.6,0.4\n")):
+            (tmp_path / f"{name}.csv").write_text("sample_id,class_0,class_1\n" + rows,
+                                                  encoding="utf-8")
+        (tmp_path / "labels.csv").write_text("sample_id,label\na,0\nb,1\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        assert main(["fuse", "--scores", str(tmp_path / "m1.csv"),
+                     "--scores", str(tmp_path / "m2.csv"),
+                     "--labels", str(tmp_path / "labels.csv"),
+                     "--weights", weights, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 class TestOptimize:
     def test_equal_method_reports_equal_weights(self, tmp_path, capsys):

@@ -73,6 +73,12 @@ class TestCumulativeAccuracy:
         with pytest.raises(InvalidWeightsError, match=message):
             make_objective(ds)(np.array(values))
 
+    @pytest.mark.parametrize("variant", ["fused_accuracy", "score_mass"])
+    def test_weights_whose_sum_overflows_are_invalid(self, variant):
+        with pytest.raises(InvalidWeightsError,
+                           match=r"^cannot normalize vector: its sum overflows float64$"):
+            make_objective(hand_dataset(), variant)(np.array([1e308, 1e308]))
+
     def test_unknown_variant(self):
         ds = hand_dataset()
         with pytest.raises(ConfigError, match="variant"):

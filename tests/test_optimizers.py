@@ -329,6 +329,23 @@ class TestBruteForce:
         assert [c.tolist() for c in candidates] == [
             [0.0, 1.0], [1 / 3, 2 / 3], [2 / 3, 1 / 3], [1.0, 0.0], [0.5, 0.5]]
 
+    @pytest.mark.parametrize("n_models", [1, 2, 3, 4, 5])
+    def test_grid_is_the_lexicographic_simplex_grid(self, n_models):
+        for steps in range(1, 13):
+            points = sorted(p for p in itertools.product(range(steps + 1), repeat=n_models)
+                            if sum(p) == steps)
+            expected = [np.array(p, dtype=np.float64) / steps for p in points]
+            if steps % n_models:
+                expected.append(np.full(n_models, 1.0 / n_models))
+            got = list(grid_candidates(steps, n_models))
+            assert [c.dtype for c in got] == [np.float64] * len(expected)
+            assert [c.tolist() for c in got] == [e.tolist() for e in expected]
+
+    def test_a_thousand_models_on_the_coarsest_grid(self):
+        # A grid built by recursion as deep as the model count overflows the stack here.
+        result = brute_force(lambda raw: 0.5, 1000, grid_step=1.0)
+        assert result.evaluations == 1001
+
     def test_single_model_is_one_evaluation(self):
         result = brute_force(lambda raw: 0.0, 1, grid_step=0.05)
         assert result.evaluations == 1

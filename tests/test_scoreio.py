@@ -58,6 +58,11 @@ class TestLoadScores:
         with pytest.raises(DataError, match=r"m\.csv:3.*sums"):
             load_scores(path)
 
+    def test_empty_file_is_a_missing_header(self, tmp_path):
+        path = _write(tmp_path, "m.csv", "")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:1: missing header$"):
+            load_scores(path)
+
     def test_header_only_is_no_samples(self, tmp_path):
         path = _write(tmp_path, "m.csv", "sample_id,class_0,class_1\n")
         with pytest.raises(DataError, match="no samples"):
@@ -198,6 +203,15 @@ class TestScoreMatrixInvariants:
         with pytest.raises(DataError, match="no samples"):
             ScoreMatrix("m", (), np.empty((0, 2)))
 
+    @pytest.mark.parametrize("ids, scores, message", [
+        (("a",), [0.5, 0.5], "model 'm': scores must be a 2-D table"),
+        (("a",), [[1.0]], "model 'm': need at least 2 classes, found 1"),
+        (("a", "b"), [[0.5, 0.5]], "model 'm': 2 sample ids for 1 score rows"),
+    ], ids=["1-D", "one-class", "id-count"])
+    def test_table_shape_errors(self, ids, scores, message):
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+            ScoreMatrix("m", ids, np.array(scores))
+
     def test_rows_are_exact_simplex_after_construction(self):
         rng = np.random.default_rng(0)
         raw = rng.random((20, 3)) + 1e-3
@@ -303,6 +317,15 @@ class TestSubset:
         with pytest.raises(DataError, match="nope"):
             subset(ds, ("nope",), "test")
 
+    @pytest.mark.parametrize("ids, message", [
+        ((), "labels must be a non-empty 1-D vector"),
+        (("s0001", "s0002", "s0001"), "duplicate sample_id 's0001' in labels"),
+    ], ids=["empty", "repeated"])
+    def test_its_labels_reject_empty_and_repeated_ids(self, ids, message):
+        ds = random_dataset(np.random.default_rng(5), n_samples=4)
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+            subset(ds, ids, "test")
+
 
 class TestLabels:
     def test_basic(self, tmp_path):
@@ -331,6 +354,21 @@ class TestLabels:
         with pytest.raises(DataError, match="duplicate"):
             load_labels(path)
 
+    def test_malformed_header(self, tmp_path):
+        path = _write(tmp_path, "labels.csv", "id,label\na,0\n")
+        message = f"{path}:1: malformed header ['id', 'label']; expected 'sample_id,label'"
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+            load_labels(path)
+
+    @pytest.mark.parametrize("ids, labels, message", [
+        ((), [], "labels must be a non-empty 1-D vector"),
+        (("a", "b"), [0], "2 sample ids for 1 labels"),
+        (("a", "a"), [0, 1], "duplicate sample_id 'a' in labels"),
+    ], ids=["empty", "id-count", "repeated"])
+    def test_vector_shape_errors(self, ids, labels, message):
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+            LabelVector(ids, labels)
+
     def test_labels_must_be_whole_and_nonnegative(self):
         with pytest.raises(DataError, match=r"^labels must be whole class indices, got 0\.5$"):
             LabelVector(("a", "b"), [0.5, 1.7])
@@ -342,11 +380,13 @@ class TestLabels:
         ([2 ** 63], 2 ** 63),
         ([2 ** 64], 2 ** 64),
         ([0, 2 ** 63], 2 ** 63),
+        ([0, 2 ** 63 + 1], 2 ** 63 + 1),
         ([2 ** 64, 0], 2 ** 64),
         (np.array([1, 2 ** 63], dtype=np.uint64), 2 ** 63),
         ([0.0, 1e19], 10 ** 19),
         ([10 ** 400, 1], 10 ** 400),
-    ], ids=["uint64", "object", "float64", "object-first", "uint64-array", "float", "huge"])
+    ], ids=["uint64", "object", "float64", "float64-rounded", "object-first", "uint64-array",
+            "float", "huge"])
     def test_labels_past_int64_are_rejected_by_value(self, labels, named):
         # Cast to int64 these would wrap to negative or arbitrary labels.
         ids = tuple("ab"[:len(labels)])
@@ -354,8 +394,15 @@ class TestLabels:
                 rf"^labels must be class indices int64 can hold, got {named}$")):
             LabelVector(ids, labels)
 
-    def test_largest_int64_label_is_kept(self):
-        assert LabelVector(("a",), [2 ** 63 - 1]).labels.tolist() == [2 ** 63 - 1]
+    @pytest.mark.parametrize("labels", [[2 ** 63 - 1], [0, 2 ** 60 + 1], [0, 2 ** 63 - 1]],
+                             ids=["alone", "past-float64", "beside-zero"])
+    def test_largest_int64_label_is_kept(self, tmp_path, labels):
+        # float64 would round 2**60 + 1 and 2**63 - 1; both must load as written.
+        ids = tuple("ab"[:len(labels)])
+        assert LabelVector(ids, labels).labels.tolist() == labels
+        path = _write(tmp_path, "labels.csv", "sample_id,label\n" + "".join(
+            f"{sid},{label}\n" for sid, label in zip(ids, labels)))
+        assert load_labels(path).labels.tolist() == labels
 
 
 class TestIdList:
@@ -370,6 +417,11 @@ class TestIdList:
     def test_duplicates_rejected(self, tmp_path):
         path = _write(tmp_path, "ids.txt", "a\nb\na\n")
         with pytest.raises(DataError, match="duplicate"):
+            read_id_list(path)
+
+    def test_blank_lines_only_is_no_ids(self, tmp_path):
+        path = _write(tmp_path, "ids.txt", "\n \n\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: no sample ids$"):
             read_id_list(path)
 
 
@@ -563,6 +615,21 @@ class TestManifest:
         body = self._base(models=[{"id": "m1", "scores_path": "m1.csv", "extra": 1}])
         path = _write(tmp_path, "manifest.json", json.dumps(body))
         with pytest.raises(ConfigError, match="model entry"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ("[]", "manifest must be a JSON object"),
+        ({"models": []}, "'models' must be a non-empty array"),
+        ({"models": [{"id": "x", "scores_path": "a.csv"}, {"id": "x", "scores_path": "b.csv"}]},
+         "duplicate model id 'x'"),
+    ], ids=["not-json", "not-an-object", "no-models", "repeated-model"])
+    def test_shape_errors_name_the_file(self, tmp_path, text, message):
+        import json
+        if isinstance(text, dict):
+            text = json.dumps(self._base(**text))
+        path = _write(tmp_path, "manifest.json", text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(f'{path}: {message}')}"):
             load_manifest(path)
 
     def test_readme_manifest_bullet_names_exactly_the_manifest_keys(self):
