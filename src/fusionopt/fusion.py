@@ -46,6 +46,79 @@ def exact_simplex(values) -> np.ndarray:
     return np.asarray(scaled, dtype=np.float64)
 
 
+def _two_sum(a, b, out, low, scratch):
+    """Knuth's two-sum of float64 vectors: ``out = fl(a + b)``, ``low = a + b - out`` exactly."""
+    np.add(a, b, out=out)
+    np.subtract(out, a, out=scratch)
+    np.subtract(a, np.subtract(out, scratch, out=low), out=low)
+    low += np.subtract(b, scratch, out=scratch)
+
+
+def _row_fsums(columns):
+    """Each row's ``math.fsum`` over ``columns`` (float64 vectors), and where it is certified.
+
+    Two-sum splits each addition into its rounded sum and its exact error,
+    so a row's exact sum is S = s + e_2 + ... + e_K with ``s`` the running
+    sum. The errors are added by two-sum as well; where none of those
+    additions rounds, E is their exact sum, and fl(s + E) is S correctly
+    rounded, ties to even, as ``math.fsum`` returns it. A step that
+    overflows leaves the result inf or nan, so a finite result whose errors
+    added exactly is certified.
+    """
+    columns = iter(columns)
+    s = np.array(next(columns), dtype=np.float64)
+    t, e, low, scratch = (np.empty_like(s) for _ in range(4))
+    err, lost = np.zeros_like(s), np.zeros(s.shape, dtype=bool)
+    for x in columns:
+        _two_sum(s, x, t, e, scratch)
+        s, t = t, s
+        _two_sum(err, e, t, low, scratch)
+        err, t = t, err
+        np.logical_or(lost, low, out=lost)
+    total = s + err
+    return total, ~lost & np.isfinite(total)
+
+
+def exact_simplex_rows(table: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a float64 (N, K) table, made exact simplex rows in place.
+
+    Each row whose sum is positive, finite and not 1.0 becomes
+    ``exact_simplex(row)``, bit for bit; other rows are left as they are.
+    Sums come from :func:`_row_fsums`, and ``math.fsum`` where it cannot
+    certify one. A row to renormalise takes the first pass of
+    ``exact_simplex``'s loop in numpy: divide by the sum, then set the
+    largest entry (ties to the lowest index) to 1 minus the certified sum
+    of the others. Where that is nonnegative and the certified sum of the
+    result is 1.0, the pass ends ``exact_simplex`` too; every other row
+    runs ``exact_simplex`` on its original values. The temporaries are
+    vectors over the rows, one column at a time.
+    """
+    k = table.shape[1]
+    sums, certified = _row_fsums(table.T)
+    for i in np.flatnonzero(~certified).tolist():
+        sums[i] = math.fsum(table[i].tolist())
+    rows = np.flatnonzero((sums != 1.0) & (sums > 0.0) & np.isfinite(sums))
+    total = sums[rows]
+
+    def scaled():
+        return (table[rows, c] / total for c in range(k))
+
+    best, largest = np.full(rows.size, -np.inf), np.zeros(rows.size, dtype=np.intp)
+    for c, col in enumerate(scaled()):
+        above = col > best
+        best[above], largest[above] = col[above], c
+    rest, done = _row_fsums(np.where(largest == c, 0.0, col) for c, col in enumerate(scaled()))
+    top = 1.0 - rest
+    check, checked = _row_fsums(np.where(largest == c, top, col) for c, col in enumerate(scaled()))
+    done &= checked & (check == 1.0) & (top >= 0.0)
+    kept = rows[done]
+    for c, col in enumerate(scaled()):
+        table[kept, c] = np.where(largest == c, top, col)[done]
+    for i in rows[~done].tolist():
+        table[i] = exact_simplex(table[i].tolist())
+    return sums
+
+
 @dataclass(frozen=True, eq=False)
 class WeightVector:
     """Per-model fusion weights; raw vectors may be unnormalized.
@@ -123,8 +196,10 @@ def class_indices(values, error: type[FusionOptError], what: str) -> np.ndarray:
     def check_int64(values):
         beyond = np.abs(values) >= 2 ** 63
         if beyond.any():
-            raise error(f"{what} must be class indices int64 can hold, "
-                        f"got {int(values[beyond][0])}")
+            first = values[beyond][0]
+            if abs(first) == math.inf:
+                raise error(f"{what} must be whole class indices, got {float(first)!r}")
+            raise error(f"{what} must be class indices int64 can hold, got {int(first)}")
 
     if arr.dtype.kind == "O":
         check_int64(arr)
@@ -202,13 +277,15 @@ def fuse(dataset, weights: WeightVector) -> FusedScores:
     weights; a unit weight on one model reproduces that model's table
     bit-identically.
     """
-    fused = combine(weights.values, dataset.stack)
-    total = math.fsum(float(v) for v in weights.values)
+    try:
+        total = math.fsum(float(v) for v in weights.values)
+    except OverflowError:  # finite weights whose sum float64 cannot hold
+        total = math.inf
     if abs(total - 1.0) > 1e-9:
         raise InvalidWeightsError(
             f"fuse expects normalized weights; got sum {total!r}"
         )
-    return FusedScores(dataset.sample_ids, fused)
+    return FusedScores(dataset.sample_ids, combine(weights.values, dataset.stack))
 
 
 def predict(fused_scores: FusedScores) -> Predictions:

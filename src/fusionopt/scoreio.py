@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fusion import class_indices, exact_simplex
+from .fusion import class_indices, exact_simplex_rows
 from .optimizers.common import DEFAULT_GRID_STEP
 
 ROW_SUM_TOLERANCE = 1e-6
@@ -73,18 +72,13 @@ class ScoreMatrix:
             i, j = (int(x) for x in np.argwhere(outside)[0])
             reason = f"value {float(arr[i, j])!r} outside [0, 1] in column 'class_{j}'"
             raise self._row_error(ids, i, reason)
-        # One exact sum per row; zip over the columns hands fsum one reused
-        # tuple at a time, so no per-row list is built.
-        sums = list(map(math.fsum, zip(*arr.T.tolist())))
-        sums_arr = np.array(sums)
-        too_far = np.abs(sums_arr - 1.0) > ROW_SUM_TOLERANCE
+        sums = exact_simplex_rows(arr)
+        too_far = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
         if too_far.any():
             i = int(np.argmax(too_far))
             raise self._row_error(
-                ids, i, f"row sums to {sums[i]!r}, expected 1 within {ROW_SUM_TOLERANCE}"
+                ids, i, f"row sums to {float(sums[i])!r}, expected 1 within {ROW_SUM_TOLERANCE}"
             )
-        for i in np.flatnonzero(sums_arr != 1.0).tolist():
-            arr[i] = exact_simplex(arr[i].tolist())
         arr.setflags(write=False)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "scores", arr)

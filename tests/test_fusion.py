@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusionopt.fusion
 from fusionopt.errors import InvalidWeightsError
 from fusionopt.fusion import (
     Predictions,
     WeightVector,
+    _row_fsums,
     equal_weights,
     exact_simplex,
+    exact_simplex_rows,
     fuse,
     normalize,
     predict,
@@ -62,6 +65,86 @@ class TestNormalize:
         np.testing.assert_allclose(out, np.array(vals) / total, rtol=0, atol=1e-12)
 
 
+def _per_row_reference(table):
+    """What exact_simplex_rows replaces: math.fsum per row, then exact_simplex per row."""
+    sums = np.array([math.fsum(row) for row in table.tolist()])
+    out = table.copy()
+    for i in np.flatnonzero((sums != 1.0) & (sums > 0.0) & np.isfinite(sums)):
+        out[i] = exact_simplex(table[i])
+    return sums, out
+
+
+def _assert_same_as_per_row(table):
+    sums, rows = _per_row_reference(table)
+    got_rows = table.copy()
+    got_sums = exact_simplex_rows(got_rows)
+    np.testing.assert_array_equal(got_sums.view(np.int64), sums.view(np.int64))
+    np.testing.assert_array_equal(got_rows.view(np.int64), rows.view(np.int64))
+
+
+def _hard_rows(rng, n, k):
+    """n rows of k entries: score rows plus the cases that reach each branch."""
+    table = rng.dirichlet(np.ones(k), size=n)
+    q = n // 8
+    # printed to 6 digits, or scaled: sums 1 only within rounding or the load tolerance
+    table[:q] = np.round(table[:q], 6)
+    table[q:2 * q] *= 1.0 + rng.uniform(-1e-7, 1e-7, size=(q, 1))
+    block = table[2 * q:3 * q]
+    tiny = rng.random(block.shape) < 0.3
+    block[tiny] = rng.random(int(tiny.sum())) * 2.0 ** -1022  # subnormal entries
+    block[rng.random(block.shape) < 0.05] = -0.0
+    table[3 * q:3 * q + 100] = rng.random((100, k)) * 2.0 ** -1022  # subnormal sums
+    special = [
+        [0.5, 0.5 - 2.0 ** -54],  # exact sum 1 - 2**-54: halfway, rounds to 1.0
+        [0.5, 0.5 + 2.0 ** -53],  # exact sum 1 + 2**-53: halfway, rounds to 1.0
+        [0.25, 0.25 + 2.0 ** -54, 0.5 - 2.0 ** -54],
+        [1.0, 2.0 ** -60, 2.0 ** -120],  # step errors whose sum rounds: fsum fallback
+        [0.5, 0.5, 2.0 ** -60, 2.0 ** -120, 2.0 ** -1074],
+        [0.5, 0.4],  # outside the load tolerance, still renormalised
+        [0.3, 0.3, 0.3],  # the largest entry is tied
+        [0.0, -0.0],  # sum 0: left as it is
+    ]
+    start = 3 * q + 100
+    for i in range(start, start + q):
+        entries = special[i % len(special)][:k]
+        table[i] = 0.0
+        table[i, rng.permutation(k)[:len(entries)]] = entries
+    return table
+
+
+class TestExactSimplexRows:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_fsum_and_exact_simplex_bit_for_bit(self, k, monkeypatch):
+        # 7 x 150,000 rows, over a million in all
+        table = _hard_rows(np.random.default_rng(900 + k), 150_000, k)
+        fallbacks = []
+
+        def counted(values):
+            fallbacks.append(1)
+            return exact_simplex(values)
+
+        monkeypatch.setattr(fusionopt.fusion, "exact_simplex", counted)
+        _assert_same_as_per_row(table)
+        if k >= 3:
+            assert not _row_fsums(table.T)[1].all()
+            assert fallbacks
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda k: st.lists(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+            [-0.0, 2.0 ** -1074, 2.0 ** -60, 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53])),
+            min_size=k, max_size=k),
+        min_size=1, max_size=20)))
+    def test_property_matches_per_row_code(self, rows):
+        _assert_same_as_per_row(np.array(rows, dtype=np.float64))
+
+    def test_rows_become_exact_simplex_rows_in_place(self):
+        table = np.array([[0.6000004, 0.4], [0.25, 0.75], [0.0, 0.0]])
+        sums = exact_simplex_rows(table)
+        assert sums.tolist() == [1.0000004, 1.0, 0.0]
+        assert [math.fsum(row) for row in table.tolist()] == [1.0, 1.0, 0.0]
+
+
 class TestEqualWeights:
     def test_three_models(self):
         np.testing.assert_array_equal(equal_weights(3).values, [1 / 3, 1 / 3, 1 / 3])
@@ -103,6 +186,12 @@ class TestFuse:
         ds = random_dataset(np.random.default_rng(2), n_models=2, n_samples=4)
         with pytest.raises(InvalidWeightsError, match="normalized"):
             fuse(ds, WeightVector(np.array([1.0, 1.0])))
+
+    def test_weights_whose_sum_overflows_rejected(self):
+        ds = random_dataset(np.random.default_rng(2), n_models=2, n_samples=4)
+        with np.errstate(all="raise"), pytest.raises(
+                InvalidWeightsError, match=r"^fuse expects normalized weights; got sum inf$"):
+            fuse(ds, WeightVector(np.array([1e308, 1e308])))
 
 
 class TestPredict:

@@ -212,6 +212,11 @@ class TestScoreMatrixInvariants:
         with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
             ScoreMatrix("m", ids, np.array(scores))
 
+    def test_all_zero_row_reports_its_sum(self):
+        message = "model 'm', sample 'b': row sums to 0.0, expected 1 within 1e-06"
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+            ScoreMatrix("m", ("a", "b"), np.array([[0.5, 0.5], [0.0, 0.0]]))
+
     def test_rows_are_exact_simplex_after_construction(self):
         rng = np.random.default_rng(0)
         raw = rng.random((20, 3)) + 1e-3
@@ -375,6 +380,15 @@ class TestLabels:
         with pytest.raises(DataError, match=r"^labels must be nonnegative class indices$"):
             LabelVector(("a", "b"), [0, -1])
         np.testing.assert_array_equal(LabelVector(("a", "b"), [0.0, 1.0]).labels, [0, 1])
+
+    @pytest.mark.parametrize("labels, shown", [
+        ([float("inf")], "inf"),
+        ([float("inf"), 10 ** 400], "inf"),
+        ([float("-inf"), 10 ** 400], "-inf"),
+    ], ids=["alone", "beside-huge-int", "negative-beside-huge-int"])
+    def test_infinite_label_is_not_a_whole_index(self, labels, shown):
+        with pytest.raises(DataError, match=rf"^labels must be whole class indices, got {shown}$"):
+            LabelVector(tuple("ab"[:len(labels)]), labels)
 
     @pytest.mark.parametrize("labels, named", [
         ([2 ** 63], 2 ** 63),
