@@ -10,6 +10,14 @@ Id list        plain text, one sample_id per line (validation split).
 Manifest       JSON object; unknown keys are rejected to catch typos.
 Report CSV     header ``method,precision,recall,f1,accuracy,objective,weights``
                with ``weights`` a ``;``-joined list at fixed 6 decimals.
+
+Score and label CSVs share one number grammar: a value is what Python's
+``float`` (``int`` for labels) reads, less underscores and non-ASCII
+digits. So ``0.7_5``, ``1_0`` and a Devanagari zero before ``.75`` are
+rejected; whitespace around a value is allowed. A file with no quote,
+CR, NUL or ASCII separator (0x1C-0x1F) takes numpy's C reader
+(``np.loadtxt``). Any other file, and any file that reader rejects, is
+read by ``csv``, which also words every fault.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -64,9 +73,9 @@ class ScoreMatrix:
             raise DataError(
                 f"model '{self.model_id}': {len(ids)} sample ids for {n} score rows"
             )
-        if len(set(ids)) != n:
-            dup = _first_duplicate(ids)
-            raise DataError(f"model '{self.model_id}': duplicate sample_id '{dup}'")
+        repeat = _first_repeat(ids)
+        if repeat is not None:
+            raise DataError(f"model '{self.model_id}': duplicate sample_id '{ids[repeat[0]]}'")
         outside = ~((arr >= 0.0) & (arr <= 1.0))  # also catches nan
         if outside.any():
             i, j = (int(x) for x in np.argwhere(outside)[0])
@@ -111,8 +120,9 @@ class LabelVector:
             raise DataError("labels must be a non-empty 1-D vector")
         if len(ids) != arr.size:
             raise DataError(f"{len(ids)} sample ids for {arr.size} labels")
-        if len(set(ids)) != len(ids):
-            raise DataError(f"duplicate sample_id '{_first_duplicate(ids)}' in labels")
+        repeat = _first_repeat(ids)
+        if repeat is not None:
+            raise DataError(f"duplicate sample_id '{ids[repeat[0]]}' in labels")
         arr.setflags(write=False)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "labels", arr)
@@ -171,12 +181,18 @@ class FusionDataset:
         return self.labels.labels
 
 
-def _first_duplicate(ids):
-    seen = set()
-    for s in ids:
-        if s in seen:
-            return s
-        seen.add(s)
+def _first_repeat(ids) -> tuple[int, int] | None:
+    """``(row, first)`` for the first id that repeats the one at row ``first``; else None.
+
+    The one duplicate rule: tables, labels, id lists and manifests all ask it.
+    """
+    if len(set(ids)) == len(ids):
+        return None
+    seen: dict = {}
+    for row, sid in enumerate(ids):
+        first = seen.setdefault(sid, row)
+        if first != row:
+            return row, first
     return None
 
 
@@ -190,94 +206,174 @@ def open_input(path, error=DataError, newline=None):
         raise error(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write ``header``, then stream ``rows``, as UTF-8 CSV with LF line ends; make the folder."""
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\n" in text
+
+
+def _csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
+
+
+_WRITE_ROWS = 4096  # rows formatted per write, so memory stays small for any N
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write ``header`` and the rows of ``columns`` as UTF-8 CSV; make the folder.
+
+    The bytes are ``csv.writer``'s with ``lineterminator="\n"``: each value
+    as ``str`` (``repr`` for a float), a field quoted, its quotes doubled,
+    only if it holds a comma, a quote or an LF.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_csv_field, header)) + "\n")
+        for start in range(0, len(columns[0]) if columns else 0, _WRITE_ROWS):
+            block = [list(map(str, col[start:start + _WRITE_ROWS])) for col in columns]
+            block = [map(_csv_field, col) if _needs_quotes("".join(col)) else col
+                     for col in block]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
-def _read_table(path, check_header, parse, cell_fault):
-    """Read a sample_id-keyed CSV, once, into its header, ids, parsed cells and line map.
+# Characters that keep a file from numpy's reader: csv's quote, line ends
+# other than LF, NUL, and the ASCII separators numpy strips as whitespace
+# around a number where Python's float and int do not.
+_CSV_ONLY = '"\r\0\x1c\x1d\x1e\x1f'
+_DTYPES = {float: np.float64, int: np.int64}
 
-    Ids stream into one list and other cells into one flat list, up to a record
-    with the wrong field count; ``line(i)`` is row ``i``'s record number (header
-    1, blank records counted). If ``parse`` rejects a cell (``ValueError``), a
-    count is wrong or an id repeats, the first fault is found in memory, per
-    record a duplicate id, then ``cell_fault(cells)`` (a reason or None).
+
+def _number(cell: str, kind):
+    """``kind(cell)`` for ``kind`` float or int, under the one number grammar.
+
+    A number is what ``kind`` reads, less underscores and non-ASCII digits:
+    numpy's reader takes neither, so neither path does.
+    """
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"{cell!r} is not a number")
+    return kind(cell)
+
+
+def _parse_cells(cells, kind) -> list:
+    """:func:`_number` of every cell, one cell at a time only if some cell is not plain ASCII."""
+    joined = "".join(cells)
+    if "_" in joined or not joined.isascii():
+        return [_number(cell, kind) for cell in cells]
+    return list(map(kind, cells))
+
+
+def _numpy_table(lines, width: int, kind):
+    """The ids and flat values of a plain table by numpy's C reader; None if not plain.
+
+    Plain: no character of ``_CSV_ONLY``, no blank record, and ``width``
+    fields in every record. The reader skips blank lines and ignores
+    fields past ``usecols``, so those two are checked here; it rejects a
+    short record, a bad cell and an int past int64. numpy 1.24 reads "1.0"
+    as an int with only a warning, so any warning is a rejection too.
+    """
+    text = "".join(lines)
+    if (any(c in text for c in _CSV_ONLY) or "\n" in lines
+            or text.count(",") != len(lines) * (width - 1)):
+        return None
+    records = lines[1:]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(records, dtype=_DTYPES[kind], delimiter=",", comments=None,
+                                usecols=range(1, width), ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return [record.partition(",")[0] for record in records], values.reshape(-1)
+
+
+def _csv_records(records, width: int):
+    """Ids, flat other cells and blank-record positions, up to a record of the wrong width."""
+    ids: list[str] = []
+    cells: list[str] = []
+    blanks: list[int] = []  # len(ids) at each blank record
+    for row in records:
+        if len(row) == width:
+            ids.append(row[0])
+            cells += row[1:]
+        elif row:
+            return ids, cells, blanks, row
+        else:
+            blanks.append(len(ids))
+    return ids, cells, blanks, None
+
+
+def _read_table(path, check_header, kind, cell_fault, build):
+    """Read a sample_id-keyed CSV, once, and ``build(ids, values)`` its object.
+
+    A plain file (:func:`_numpy_table`) takes numpy's reader; any other, or
+    one it rejects, is read by ``csv``, its cells by :func:`_number`. If
+    that read or ``build`` fails, the first fault in record order is found
+    in memory: per record a repeated id, then ``cell_fault(cells)`` (a
+    reason or None); then a record of the wrong width. With none of those,
+    ``build``'s error stands, at ``path:line`` if it names a row. A line is
+    a CSV record's number: header 1, blank records counted.
     """
     with open_input(path, newline="") as fh:  # so quoted line breaks reach csv intact
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}:1: missing header")
-        check_header(header)
-        width = len(header)
-        ids: list[str] = []
-        cells: list[str] = []
-        blanks: list[int] = []  # len(ids) at each blank record
-        bad = None
-        for row in reader:
-            if len(row) == width:
-                ids.append(row[0])
-                cells += row[1:]
-            elif row:
-                bad = row
-                break
-            else:
-                blanks.append(len(ids))
+        lines = fh.readlines()
+    records = csv.reader(lines)
+    header = next(records, None)
+    if header is None:
+        raise DataError(f"{path}:1: missing header")
+    check_header(header)
+    width = len(header)
+    table = _numpy_table(lines, width, kind)
+    if table is None:
+        ids, cells, blanks, bad = _csv_records(records, width)
+        values = None
+        if bad is None:
+            try:
+                values = _parse_cells(cells, kind)
+            except ValueError:
+                pass
+    else:
+        (ids, values), blanks, bad = table, [], None
 
     def line(i: int) -> int:
         return i + 2 + bisect_right(blanks, i)
 
-    if bad is None and len(set(ids)) == len(ids):
-        if not ids:
-            raise DataError(f"{path}: no samples")
+    if not ids and bad is None:
+        raise DataError(f"{path}: no samples")
+    error = None
+    if values is not None:
         try:
-            return header, ids, parse(cells), line
-        except ValueError:
-            pass
-    seen: dict[str, int] = {}
+            return build(ids, values)
+        except DataError as exc:
+            error = exc
+        if table is not None:
+            _, cells, _, _ = _csv_records(records, width)
+    repeat = _first_repeat(ids)
     step = width - 1
-    for i, sid in enumerate(ids):
-        if sid in seen:
-            raise DataError(
-                f"{path}:{line(i)}: duplicate sample_id '{sid}' "
-                f"(first seen at line {line(seen[sid])})"
-            )
-        seen[sid] = i
+    for i in range(len(ids) if repeat is None else repeat[0]):
         reason = cell_fault(cells[i * step:(i + 1) * step])
         if reason is not None:
             raise DataError(f"{path}:{line(i)}: {reason}")
-    raise DataError(f"{path}:{line(len(ids))}: expected {width} fields, found {len(bad)}")
-
-
-def _parse_scores(cells) -> np.ndarray:
-    return np.array(list(map(float, cells)))
+    if repeat is not None:
+        i, first = repeat
+        raise DataError(f"{path}:{line(i)}: duplicate sample_id '{ids[i]}' "
+                        f"(first seen at line {line(first)})")
+    if bad is not None:
+        raise DataError(f"{path}:{line(len(ids))}: expected {width} fields, found {len(bad)}")
+    if error.row is None:
+        raise error
+    raise DataError(f"{path}:{line(error.row)}: {error.reason}") from None
 
 
 def _score_fault(cells) -> str | None:
     for col, cell in enumerate(cells):
         try:
-            float(cell)
+            _number(cell, float)
         except ValueError:
             return f"non-numeric value {cell!r} in column 'class_{col}'"
     return None
 
 
-def _parse_labels(cells) -> list[int]:
-    labels = list(map(int, cells))
-    if min(labels) < 0:
-        raise ValueError("negative label")
-    return labels
-
-
 def _label_fault(cells) -> str | None:
     try:
-        label = int(cells[0])
+        label = _number(cells[0], int)
     except ValueError:
         return f"non-integer label {cells[0]!r}"
     return f"negative label {label}" if label < 0 else None
@@ -286,9 +382,9 @@ def _label_fault(cells) -> str | None:
 def load_scores(path, model_id: str | None = None) -> ScoreMatrix:
     """Read a score CSV, reporting the offending line on any violation.
 
-    Text-level checks (header, field count, numeric parse, duplicate id)
-    happen here; value checks happen in :class:`ScoreMatrix`, whose row
-    errors are restated with the line they were read from.
+    Text-level checks (header, field count, number grammar) happen here;
+    id and value checks happen in :class:`ScoreMatrix`. A repeated id is
+    restated with both its lines, a row error with the line it was read from.
     """
     path = Path(path)
 
@@ -300,24 +396,17 @@ def load_scores(path, model_id: str | None = None) -> ScoreMatrix:
                 "'sample_id,class_0,...,class_{K-1}' with K >= 2"
             )
 
-    header, ids, values, line = _read_table(path, check_header, _parse_scores, _score_fault)
-    try:
-        return ScoreMatrix(
-            model_id if model_id is not None else path.stem,
-            ids,
-            values.reshape(len(ids), len(header) - 1),
-        )
-    except DataError as exc:
-        if exc.row is None:
-            raise
-        raise DataError(f"{path}:{line(exc.row)}: {exc.reason}") from None
+    def build(ids, values):
+        return ScoreMatrix(model_id if model_id is not None else path.stem, ids,
+                           np.reshape(values, (len(ids), -1)))
+
+    return _read_table(path, check_header, float, _score_fault, build)
 
 
 def write_scores(matrix: ScoreMatrix, path) -> None:
     """Write a score CSV; floats use ``repr`` so they round-trip exactly."""
-    columns = (map(repr, col) for col in matrix.scores.T.tolist())
     _write_csv(path, ["sample_id"] + [f"class_{i}" for i in range(matrix.num_classes)],
-               zip(matrix.sample_ids, *columns))
+               [matrix.sample_ids, *matrix.scores.T.tolist()])
 
 
 def load_labels(path) -> LabelVector:
@@ -329,12 +418,11 @@ def load_labels(path) -> LabelVector:
                 f"{path}:1: malformed header {header!r}; expected 'sample_id,label'"
             )
 
-    _, ids, labels, _ = _read_table(path, check_header, _parse_labels, _label_fault)
-    return LabelVector(ids, labels)
+    return _read_table(path, check_header, int, _label_fault, LabelVector)
 
 
 def write_labels(labels: LabelVector, path) -> None:
-    _write_csv(path, ["sample_id", "label"], zip(labels.sample_ids, labels.labels.tolist()))
+    _write_csv(path, ["sample_id", "label"], [labels.sample_ids, labels.labels.tolist()])
 
 
 def read_id_list(path) -> tuple[str, ...]:
@@ -345,8 +433,9 @@ def read_id_list(path) -> tuple[str, ...]:
     ids = [s for s in ids if s]
     if not ids:
         raise DataError(f"{path}: no sample ids")
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate sample_id '{_first_duplicate(ids)}'")
+    repeat = _first_repeat(ids)
+    if repeat is not None:
+        raise DataError(f"{path}: duplicate sample_id '{ids[repeat[0]]}'")
     return tuple(ids)
 
 
@@ -468,8 +557,9 @@ def load_manifest(path) -> Manifest:
             )
         models.append((str(entry["id"]), base / str(entry["scores_path"])))
     ids = [m[0] for m in models]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"{path}: duplicate model id '{_first_duplicate(ids)}'")
+    repeat = _first_repeat(ids)
+    if repeat is not None:
+        raise ConfigError(f"{path}: duplicate model id '{ids[repeat[0]]}'")
 
     validation_ids_path = raw.get("validation_ids_path")
     if validation_ids_path is not None:
@@ -557,4 +647,4 @@ class ReportRow:
 
 def write_report(rows, path) -> None:
     """Write report rows as CSV with a deterministic column order."""
-    _write_csv(path, REPORT_HEADER, (r.cells() for r in rows))
+    _write_csv(path, REPORT_HEADER, list(zip(*(r.cells() for r in rows))))

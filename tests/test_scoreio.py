@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import logging
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fusionopt import scoreio
 from fusionopt.errors import ConfigError, DataError
 from fusionopt.objective import make_objective
 from fusionopt.scoreio import (
@@ -141,6 +143,22 @@ class TestLoadScores:
         with pytest.raises(DataError, match=r"m\.csv:5: row sums to 0\.9, expected 1 "
                                             r"within 1e-06$"):
             load_scores(path)
+
+    # Python's float reads these two, numpy's reader does not; neither path
+    # of the loader does. A quoted id sends the file to the csv walk.
+    @pytest.mark.parametrize("cell", ["0.7_5", "\u0966.75"], ids=["underscore", "devanagari-zero"])
+    @pytest.mark.parametrize("sid", ["s2", '"s2"'], ids=["plain", "quoted"])
+    def test_number_grammar_rejection(self, tmp_path, cell, sid):
+        path = _write(tmp_path, "m.csv", f"sample_id,class_0,class_1\ns1,0.5,0.5\n{sid},{cell},0.25\n")
+        with pytest.raises(DataError) as excinfo:
+            load_scores(path)
+        assert str(excinfo.value) == f"{path}:3: non-numeric value {cell!r} in column 'class_0'"
+
+    @pytest.mark.parametrize("sid", ["s2", '"s2"'], ids=["plain", "quoted"])
+    def test_whitespace_around_a_number_is_kept_out(self, tmp_path, sid):
+        path = _write(tmp_path, "m.csv",
+                      f"sample_id,class_0,class_1\ns1,0.5,0.5\n{sid}, 0.25\t,\u00a00.75\u2003\n")
+        assert load_scores(path).scores.tolist() == [[0.5, 0.5], [0.25, 0.75]]
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -348,6 +366,14 @@ class TestLabels:
         path = _write(tmp_path, "labels.csv", "sample_id,label\na,0\n\nb,1\nc,x\n")
         with pytest.raises(DataError, match=r"labels\.csv:5: non-integer label 'x'$"):
             load_labels(path)
+
+    @pytest.mark.parametrize("label", ["1_0", "\uff11"], ids=["underscore", "fullwidth-one"])
+    @pytest.mark.parametrize("sid", ["b", '"b"'], ids=["plain", "quoted"])
+    def test_number_grammar_rejection(self, tmp_path, label, sid):
+        path = _write(tmp_path, "labels.csv", f"sample_id,label\na,0\n{sid},{label}\n")
+        with pytest.raises(DataError) as excinfo:
+            load_labels(path)
+        assert str(excinfo.value) == f"{path}:3: non-integer label {label!r}"
 
     def test_negative_label(self, tmp_path):
         path = _write(tmp_path, "labels.csv", "sample_id,label\na,-1\n")
@@ -569,6 +595,150 @@ class TestSingleRead:
         with pytest.raises(DataError) as excinfo:
             load_scores(path)
         assert str(excinfo.value) == f"{path}:{lines[bad]}: {reason}"
+
+
+# Rows for the differential tests: good rows in several spellings, then odd
+# ones. Each odd score row would sum to 1 if Python's float read it; some
+# hold a cell only float takes, or an ASCII separator that numpy's reader
+# strips as whitespace. Odd labels run past int64.
+SCORE_ROWS = (
+    [("0.25", "0.75"), ("0.5", "0.5"), (" 0.5", "5e-1\t"), ("+.5", "\u00a00.5"), ("1e-1", ".9")],
+    [("0.7_5", "0.25"), ("\u0966.75", "0.25"), ("\uff11", "0"), ("0.5\x1c", "0.5"),
+     ("nan", "1"), ("1.5", "-0.5"), ("0.5", "0.4"), ("oops", "0.5"), ("", "1")],
+)
+LABEL_ROWS = (
+    [("0",), ("1",), ("2",), (" 1",), ("+1",), ("-0",), ("9223372036854775807",)],
+    [(label,) for label in ["-1", "1.0", "x", "", "1_0", "\uff11", "\u0967", "1\x1c",
+                            "9223372036854775808", "-9223372036854775809"]],
+)
+ODD_IDS = ["", " s1", "é", '"s2"', '"a,b"', '"c""d"', "x\ufeff", "s0"]
+
+
+def _outcome(load, path):
+    """What loading ``path`` gives: ids and value bits, or the error message."""
+    try:
+        got = load(path)
+    except DataError as exc:
+        return str(exc)
+    values = got.scores if isinstance(got, ScoreMatrix) else got.labels
+    return got.sample_ids, values.view(np.int64).tolist()
+
+
+def _table_text(data, header, rows):
+    """A drawn CSV text of good rows with at most one of each oddity.
+
+    The oddities: a row, an id, a short or long record, a blank or
+    whitespace-only record, a line end, a missing final line end, a BOM.
+    """
+    good, odd = rows
+    n = data.draw(st.integers(1, 6), label="rows")
+    cells = [list(data.draw(st.sampled_from(good))) for _ in range(n)]
+    ids = [f"s{i}" for i in range(n)]
+
+    def maybe(label, choices):  # one time in four
+        if not data.draw(st.sampled_from([False, False, False, True]), label=label):
+            return None, None
+        return data.draw(st.sampled_from(choices)), data.draw(st.integers(0, n - 1))
+
+    row, i = maybe("odd row", odd)
+    if row is not None:
+        cells[i] = list(row)
+    sid, i = maybe("odd id", ODD_IDS)
+    if sid is not None:
+        ids[i] = sid
+    change, i = maybe("width change", [-1, 1])
+    if change is not None:
+        cells[i] = cells[i][:-1] if change < 0 else cells[i] + ["0"]
+    records = [",".join([sid, *row]) for sid, row in zip(ids, cells)]
+    blank, i = maybe("blank record", ["", " "])
+    if blank is not None:
+        records.insert(i + 1, blank)
+    end = data.draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]), label="line end")
+    text = end.join([header, *records])
+    if data.draw(st.booleans(), label="final line end"):
+        text += end
+    return ("\ufeff" if data.draw(st.booleans(), label="BOM") else "") + text
+
+
+class TestNumpyReader:
+    """numpy's reader takes plain files; it gives what the csv walk gives, bit for bit."""
+
+    @pytest.mark.parametrize("text, plain", [
+        ("s1,0.5,0.5\ns2,0.25,0.75\n", True),
+        ("s1,0.5,0.5\ns2,0.25,0.75", True),
+        ('"s1",0.5,0.5\ns2,0.25,0.75\n', False),
+        ("s1,0.5,0.5\r\ns2,0.25,0.75\r\n", False),
+        ("s1,0.5,0.5\n\ns2,0.25,0.75\n", False),
+        ("s1,0.5,0.5\ns2,0.25,0.75,0\n", False),
+        ("s1,0.5\ns2,0.25,0.75,0\n", False),
+        ("s1,0.5,0.5\ns2,0.7_5,0.25\n", False),
+    ], ids=["plain", "no-final-line-end", "quoted", "crlf", "blank-record", "long-row",
+            "short-beside-long", "underscore"])
+    def test_which_files_take_numpy(self, tmp_path, monkeypatch, text, plain):
+        real, taken = scoreio._numpy_table, []
+
+        def spy(*args):
+            table = real(*args)
+            taken.append(table is not None)
+            return table
+
+        monkeypatch.setattr(scoreio, "_numpy_table", spy)
+        path = _write(tmp_path, "m.csv", "sample_id,class_0,class_1\n" + text)
+        with contextlib.suppress(DataError):
+            load_scores(path)
+        assert taken == [plain]
+
+    # numpy's reader ignores fields past usecols and skips blank lines; the
+    # loader may do neither, even where the file's comma count adds up.
+    @pytest.mark.parametrize("load, text, message", [
+        (load_scores, "s1,0.5,0.5\ns2,0.25,0.75,0\n", "3: expected 3 fields, found 4"),
+        (load_scores, "s1,0.5\ns2,0.25,0.75,0\n", "2: expected 3 fields, found 2"),
+        (load_scores, "s1,0.5,0.5,0\ns2,0.25\n", "2: expected 3 fields, found 4"),
+        (load_labels, "a,0\n\nb,1,0\n", "4: expected 2 fields, found 3"),
+        (load_labels, "a,0,1\n\nb,1\n", "2: expected 2 fields, found 3"),
+    ], ids=["long", "short-then-long", "long-then-short", "blank-then-long", "long-then-blank"])
+    def test_unquoted_field_counts_are_checked(self, tmp_path, load, text, message):
+        header = "sample_id,class_0,class_1\n" if load is load_scores else "sample_id,label\n"
+        path = _write(tmp_path, "t.csv", header + text)
+        with pytest.raises(DataError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == f"{path}:{message}"
+
+    # Each example rewrites the same file, so reusing tmp_path is safe.
+    @pytest.mark.parametrize("load, header, rows", [
+        (load_scores, "sample_id,class_0,class_1", SCORE_ROWS),
+        (load_labels, "sample_id,label", LABEL_ROWS),
+    ], ids=["scores", "labels"])
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_numpy_reader_matches_the_csv_walk(self, tmp_path, load, header, rows, data):
+        path = tmp_path / "t.csv"
+        path.write_text(_table_text(data, header, rows), encoding="utf-8", newline="")
+        fast = _outcome(load, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scoreio, "_numpy_table", lambda *args: None)
+            assert fast == _outcome(load, path)
+
+
+class TestWriter:
+    # Each example writes the same files, so reusing tmp_path is safe.
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ids=st.lists(st.text(alphabet=[",", '"', "\r", "\n", " ", "é", "字", "a", "0"],
+                                max_size=4), min_size=1, max_size=6, unique=True))
+    def test_bytes_match_csv_writer(self, tmp_path, ids):
+        matrix = ScoreMatrix("m", ids, [[0.25, 0.75]] * len(ids))
+        labels = LabelVector(ids, range(len(ids)))
+        write_scores(matrix, tmp_path / "m.csv")
+        write_labels(labels, tmp_path / "labels.csv")
+        for name, header, rows in [
+            ("m.csv", ["sample_id", "class_0", "class_1"], [(s, 0.25, 0.75) for s in ids]),
+            ("labels.csv", ["sample_id", "label"], list(zip(ids, range(len(ids))))),
+        ]:
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert (tmp_path / name).read_bytes() == out.getvalue().encode("utf-8")
 
 
 def _manifest_files(tmp_path):
