@@ -220,7 +220,7 @@ _WRITE_ROWS = 4096  # rows formatted per write, so memory stays small for any N
 def _write_csv(path, header, columns) -> None:
     """Write ``header`` and the rows of ``columns`` as UTF-8 CSV; make the folder.
 
-    The bytes are ``csv.writer``'s with ``lineterminator="\n"``: each value
+    The bytes are ``csv.writer``'s with ``lineterminator="\\n"``: each value
     as ``str`` (``repr`` for a float), a field quoted, its quotes doubled,
     only if it holds a comma, a quote or an LF.
     """

@@ -155,7 +155,7 @@ class TestLoadScores:
         assert str(excinfo.value) == f"{path}:3: non-numeric value {cell!r} in column 'class_0'"
 
     @pytest.mark.parametrize("sid", ["s2", '"s2"'], ids=["plain", "quoted"])
-    def test_whitespace_around_a_number_is_kept_out(self, tmp_path, sid):
+    def test_whitespace_around_a_number_is_allowed(self, tmp_path, sid):
         path = _write(tmp_path, "m.csv",
                       f"sample_id,class_0,class_1\ns1,0.5,0.5\n{sid}, 0.25\t,\u00a00.75\u2003\n")
         assert load_scores(path).scores.tolist() == [[0.5, 0.5], [0.25, 0.75]]
