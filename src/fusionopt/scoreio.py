@@ -15,9 +15,10 @@ Score and label CSVs share one number grammar: a value is what Python's
 ``float`` (``int`` for labels) reads, less underscores and non-ASCII
 digits. So ``0.7_5``, ``1_0`` and a Devanagari zero before ``.75`` are
 rejected; whitespace around a value is allowed. A file with no quote,
-CR, NUL or ASCII separator (0x1C-0x1F) takes numpy's C reader
-(``np.loadtxt``). Any other file, and any file that reader rejects, is
-read by ``csv``, which also words every fault.
+NUL or ASCII separator (0x1C-0x1F) takes numpy's C reader
+(``np.loadtxt``), whatever its line ends (LF, CRLF or CR). Any other
+file, and any file that reader rejects, is read by ``csv``, which also
+words every fault.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def open_input(path, error=DataError, newline=None):
 
 
 def _needs_quotes(text: str) -> bool:
-    return "," in text or '"' in text or "\n" in text
+    return "," in text or '"' in text or "\n" in text or "\r" in text
 
 
 def _csv_field(text: str) -> str:
@@ -222,7 +223,8 @@ def _write_csv(path, header, columns) -> None:
 
     The bytes are ``csv.writer``'s with ``lineterminator="\\n"``: each value
     as ``str`` (``repr`` for a float), a field quoted, its quotes doubled,
-    only if it holds a comma, a quote or an LF.
+    only if it holds a comma, a quote, an LF or a CR. Some Python versions'
+    ``csv.writer`` leaves a lone CR unquoted, which does not read back.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -235,10 +237,10 @@ def _write_csv(path, header, columns) -> None:
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
-# Characters that keep a file from numpy's reader: csv's quote, line ends
-# other than LF, NUL, and the ASCII separators numpy strips as whitespace
-# around a number where Python's float and int do not.
-_CSV_ONLY = '"\r\0\x1c\x1d\x1e\x1f'
+# Characters that keep a file from numpy's reader: csv's quote, NUL, and
+# the ASCII separators numpy strips as whitespace around a number where
+# Python's float and int do not.
+_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
 _DTYPES = {float: np.float64, int: np.int64}
 
 
@@ -248,30 +250,24 @@ def _number(cell: str, kind):
     A number is what ``kind`` reads, less underscores and non-ASCII digits:
     numpy's reader takes neither, so neither path does.
     """
-    if "_" in cell or not cell.strip().isascii():
+    if "_" in cell or not (cell.isascii() or cell.strip().isascii()):
         raise ValueError(f"{cell!r} is not a number")
     return kind(cell)
-
-
-def _parse_cells(cells, kind) -> list:
-    """:func:`_number` of every cell, one cell at a time only if some cell is not plain ASCII."""
-    joined = "".join(cells)
-    if "_" in joined or not joined.isascii():
-        return [_number(cell, kind) for cell in cells]
-    return list(map(kind, cells))
 
 
 def _numpy_table(lines, width: int, kind):
     """The ids and flat values of a plain table by numpy's C reader; None if not plain.
 
     Plain: no character of ``_CSV_ONLY``, no blank record, and ``width``
-    fields in every record. The reader skips blank lines and ignores
-    fields past ``usecols``, so those two are checked here; it rejects a
-    short record, a bad cell and an int past int64. numpy 1.24 reads "1.0"
-    as an int with only a warning, so any warning is a rejection too.
+    fields in every record. ``lines`` split at every LF, CRLF and CR, as
+    ``csv`` does, so each line is one record. The reader skips blank lines
+    and ignores fields past ``usecols``, so those two are checked here; it
+    rejects a short record, a bad cell and an int past int64. numpy 1.24
+    reads "1.0" as an int with only a warning, so any warning is a
+    rejection too.
     """
     text = "".join(lines)
-    if (any(c in text for c in _CSV_ONLY) or "\n" in lines
+    if (any(c in text for c in _CSV_ONLY)
             or text.count(",") != len(lines) * (width - 1)):
         return None
     records = lines[1:]
@@ -281,6 +277,8 @@ def _numpy_table(lines, width: int, kind):
             values = np.loadtxt(records, dtype=_DTYPES[kind], delimiter=",", comments=None,
                                 usecols=range(1, width), ndmin=2)
     except (ValueError, Warning):
+        return None
+    if len(values) != len(records):  # a blank record was skipped
         return None
     return [record.partition(",")[0] for record in records], values.reshape(-1)
 
@@ -311,9 +309,13 @@ def _read_table(path, check_header, kind, cell_fault, build):
     reason or None); then a record of the wrong width. With none of those,
     ``build``'s error stands, at ``path:line`` if it names a row. A line is
     a CSV record's number: header 1, blank records counted.
+
+    The text is freed before ``build`` runs: once every cell has parsed,
+    only a value can be at fault, and ``str`` of each value is read the
+    same way as its cell.
     """
     with open_input(path, newline="") as fh:  # so quoted line breaks reach csv intact
-        lines = fh.readlines()
+        lines = fh.readlines()  # split at LF, CRLF and CR, each line end kept
     records = csv.reader(lines)
     header = next(records, None)
     if header is None:
@@ -322,15 +324,23 @@ def _read_table(path, check_header, kind, cell_fault, build):
     width = len(header)
     table = _numpy_table(lines, width, kind)
     if table is None:
-        ids, cells, blanks, bad = _csv_records(records, width)
+        # csv takes the records off a stack, popped from the end, so each
+        # line is freed once read; a header that passed is the first line.
+        stack = [None, *lines[:0:-1]]
+        del lines, records
+        ids, cells, blanks, bad = _csv_records(csv.reader(iter(stack.pop, None)), width)
         values = None
         if bad is None:
             try:
-                values = _parse_cells(cells, kind)
-            except ValueError:
+                values = [_number(cell, kind) for cell in cells]
+                # An array holds the values in a quarter of the list's memory;
+                # an int past int64 stays a Python int, for the build to name.
+                values = np.array(values, dtype=_DTYPES[kind])
+            except (ValueError, OverflowError):
                 pass
     else:
-        (ids, values), blanks, bad = table, [], None
+        del lines, records
+        (ids, values), cells, blanks, bad = table, None, [], None
 
     def line(i: int) -> int:
         return i + 2 + bisect_right(blanks, i)
@@ -339,12 +349,12 @@ def _read_table(path, check_header, kind, cell_fault, build):
         raise DataError(f"{path}: no samples")
     error = None
     if values is not None:
+        cells = None
         try:
             return build(ids, values)
         except DataError as exc:
             error = exc
-        if table is not None:
-            _, cells, _, _ = _csv_records(records, width)
+        cells = list(map(str, values))
     repeat = _first_repeat(ids)
     step = width - 1
     for i in range(len(ids) if repeat is None else repeat[0]):

@@ -667,13 +667,17 @@ class TestNumpyReader:
         ("s1,0.5,0.5\ns2,0.25,0.75\n", True),
         ("s1,0.5,0.5\ns2,0.25,0.75", True),
         ('"s1",0.5,0.5\ns2,0.25,0.75\n', False),
-        ("s1,0.5,0.5\r\ns2,0.25,0.75\r\n", False),
+        ("s1,0.5,0.5\r\ns2,0.25,0.75\r\n", True),
+        ("s1,0.5,0.5\rs2,0.25,0.75\r", True),
         ("s1,0.5,0.5\n\ns2,0.25,0.75\n", False),
+        ("s1,0.5,0.5\r\n\r\ns2,0.25,0.75\r\n", False),
+        ("s1,0.5,0.5\r\rs2,0.25,0.75\r", False),
         ("s1,0.5,0.5\ns2,0.25,0.75,0\n", False),
         ("s1,0.5\ns2,0.25,0.75,0\n", False),
         ("s1,0.5,0.5\ns2,0.7_5,0.25\n", False),
-    ], ids=["plain", "no-final-line-end", "quoted", "crlf", "blank-record", "long-row",
-            "short-beside-long", "underscore"])
+    ], ids=["plain", "no-final-line-end", "quoted", "crlf", "cr", "blank-record",
+            "crlf-blank-record", "cr-blank-record", "long-row", "short-beside-long",
+            "underscore"])
     def test_which_files_take_numpy(self, tmp_path, monkeypatch, text, plain):
         real, taken = scoreio._numpy_table, []
 
@@ -725,11 +729,17 @@ class TestWriter:
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ids=st.lists(st.text(alphabet=[",", '"', "\r", "\n", " ", "é", "字", "a", "0"],
                                 max_size=4), min_size=1, max_size=6, unique=True))
-    def test_bytes_match_csv_writer(self, tmp_path, ids):
+    def test_ids_round_trip_in_csv_writer_bytes(self, tmp_path, ids):
+        """Every id loads back; with no CR in any id the bytes are ``csv.writer``'s."""
         matrix = ScoreMatrix("m", ids, [[0.25, 0.75]] * len(ids))
         labels = LabelVector(ids, range(len(ids)))
         write_scores(matrix, tmp_path / "m.csv")
         write_labels(labels, tmp_path / "labels.csv")
+        assert load_scores(tmp_path / "m.csv").sample_ids == tuple(ids)
+        back = load_labels(tmp_path / "labels.csv")
+        assert (back.sample_ids, back.labels.tolist()) == (tuple(ids), list(range(len(ids))))
+        if any("\r" in sid for sid in ids):
+            return
         for name, header, rows in [
             ("m.csv", ["sample_id", "class_0", "class_1"], [(s, 0.25, 0.75) for s in ids]),
             ("labels.csv", ["sample_id", "label"], list(zip(ids, range(len(ids))))),
@@ -739,6 +749,13 @@ class TestWriter:
             writer.writerow(header)
             writer.writerows(rows)
             assert (tmp_path / name).read_bytes() == out.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("sid", ["a\rb", "\r", "a\r\nb"])
+    def test_an_id_with_a_cr_is_quoted(self, tmp_path, sid):
+        write_scores(ScoreMatrix("m", (sid, "c"), [[0.25, 0.75], [0.5, 0.5]]), tmp_path / "m.csv")
+        text = (tmp_path / "m.csv").read_bytes().decode("utf-8")
+        assert text.split("\n", 1)[1].startswith(f'"{sid}",0.25,0.75\n')
+        assert load_scores(tmp_path / "m.csv").sample_ids == (sid, "c")
 
 
 def _manifest_files(tmp_path):
