@@ -16,8 +16,14 @@ Exit codes: 0 success, 1 domain error (validation or optimizer failure),
 from __future__ import annotations
 
 import argparse
+import logging
+import os
+import pickle
+import signal
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +63,15 @@ def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
     after command-line overrides, before any score file is read. The objective
     is built once, and nothing is written until every method has succeeded.
     ``json_path(method)`` names a method's result JSON.
+
+    With more than one method, ``os.fork`` and more than one usable CPU, each
+    search runs in a forked process of its own (:func:`_searches`); otherwise
+    each runs here in turn. Either way the outcomes are taken in ``methods``
+    order, so output, errors and log records come out as from a serial run.
+    Forking cannot change a bit: each search has its own evaluation tracker,
+    draws only from its own counter-based ``rng_stream(seed, site)``, and
+    reads the objective's tables without writing them. A child holds its
+    search's memory itself, beside the parent's.
     """
     check_variant(variant)
     own = OptimizerConfig(method=manifest.method, seed=seed, grid_step=grid_step,
@@ -67,21 +82,111 @@ def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
     validation, test = load_manifest_splits(manifest)
     objective = make_objective(validation, variant)
     results, rows = [], []
-    for config in configs:
-        try:
-            result = optimize(objective, validation.num_models, config)
-        except FusionOptError as exc:
-            raise type(exc)(f"method '{config.method}': {exc}") from exc
-        report = metrics(confusion(predict(fuse(test, result.best_weights)), test.labels))
-        row = ReportRow.from_metrics(config.method, report, objective=result.best_error,
-                                     weights=result.best_weights.values)
-        _print_row(row)
-        results.append(result)
-        rows.append(row)
+    with _searches(objective, validation.num_models, configs) as outcomes:
+        for config, outcome in zip(configs, outcomes):
+            try:
+                result = outcome()
+            except FusionOptError as exc:
+                raise type(exc)(f"method '{config.method}': {exc}") from exc
+            report = metrics(confusion(predict(fuse(test, result.best_weights)), test.labels))
+            row = ReportRow.from_metrics(config.method, report, objective=result.best_error,
+                                         weights=result.best_weights.values)
+            _print_row(row)
+            results.append(result)
+            rows.append(row)
     for result in results:
         write_result_json(result, json_path(result.method))
     write_report(rows, out)
     return 0
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _searches(objective, n_models, configs):
+    """One call per config that returns its search's ``OptResult`` or raises its error.
+
+    In-process, a call runs the search. Forked, every search starts at once,
+    one child each, and a call waits for its child, replays the ``fusionopt``
+    log records the search emitted, then returns or raises as the search did.
+    On leaving, any child still running is killed, and every child is reaped.
+    """
+    searches = [partial(optimize, objective, n_models, config) for config in configs]
+    if len(configs) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield searches
+        return
+    # A buffer a child copied would be written twice if it were ever flushed.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children: dict[int, int] = {}  # pid -> read end of its pipe
+    try:
+        yield [_fork(search, config.method, children)
+               for search, config in zip(searches, configs)]
+    finally:
+        for pid, fd in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
+class _Records(logging.Handler):
+    """Keeps each record, its message merged with its args so that it pickles."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _fork(search, method, children):
+    """Start ``search`` in a child; return the call that collects its outcome."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            handler = _Records()
+            package = logging.getLogger("fusionopt")
+            package.handlers, package.propagate = [handler], False
+            try:
+                outcome = search(), None
+            except BaseException as exc:
+                outcome = None, exc
+            with open(write_fd, "wb") as fh:
+                pickle.dump((*outcome, handler.records), fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    children[pid] = read_fd
+
+    def collect():
+        with open(read_fd, "rb", closefd=False) as fh:
+            data = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        os.close(children.pop(pid))
+        if code or not data:
+            ended = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(
+                f"method '{method}': search process {ended} before it sent a result")
+        result, error, records = pickle.loads(data)
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if error is not None:
+            raise error
+        # Pickling drops numpy's read-only flag.
+        result.best_weights.values.setflags(write=False)
+        return result
+
+    return collect
 
 
 def _print_row(row: ReportRow) -> None:

@@ -284,18 +284,25 @@ def _numpy_table(lines, width: int, kind):
 
 
 def _csv_records(records, width: int):
-    """Ids, flat other cells and blank-record positions, up to a record of the wrong width."""
+    """Ids, flat other cells and blank-record positions, up to the first unreadable record.
+
+    The last item is None, or why that record is unreadable: a wrong field
+    count, or an error of ``csv`` such as a field over its size limit.
+    """
     ids: list[str] = []
     cells: list[str] = []
     blanks: list[int] = []  # len(ids) at each blank record
-    for row in records:
-        if len(row) == width:
-            ids.append(row[0])
-            cells += row[1:]
-        elif row:
-            return ids, cells, blanks, row
-        else:
-            blanks.append(len(ids))
+    try:
+        for row in records:
+            if len(row) == width:
+                ids.append(row[0])
+                cells += row[1:]
+            elif row:
+                return ids, cells, blanks, f"expected {width} fields, found {len(row)}"
+            else:
+                blanks.append(len(ids))
+    except csv.Error as exc:
+        return ids, cells, blanks, str(exc)
     return ids, cells, blanks, None
 
 
@@ -306,7 +313,8 @@ def _read_table(path, check_header, kind, cell_fault, build):
     one it rejects, is read by ``csv``, its cells by :func:`_number`. If
     that read or ``build`` fails, the first fault in record order is found
     in memory: per record a repeated id, then ``cell_fault(cells)`` (a
-    reason or None); then a record of the wrong width. With none of those,
+    reason or None); then a record of the wrong width, or one ``csv``
+    cannot read (a field over its size limit). With none of those,
     ``build``'s error stands, at ``path:line`` if it names a row. A line is
     a CSV record's number: header 1, blank records counted.
 
@@ -317,7 +325,10 @@ def _read_table(path, check_header, kind, cell_fault, build):
     with open_input(path, newline="") as fh:  # so quoted line breaks reach csv intact
         lines = fh.readlines()  # split at LF, CRLF and CR, each line end kept
     records = csv.reader(lines)
-    header = next(records, None)
+    try:
+        header = next(records, None)
+    except csv.Error as exc:
+        raise DataError(f"{path}:1: {exc}") from None
     if header is None:
         raise DataError(f"{path}:1: missing header")
     check_header(header)
@@ -366,7 +377,7 @@ def _read_table(path, check_header, kind, cell_fault, build):
         raise DataError(f"{path}:{line(i)}: duplicate sample_id '{ids[i]}' "
                         f"(first seen at line {line(first)})")
     if bad is not None:
-        raise DataError(f"{path}:{line(len(ids))}: expected {width} fields, found {len(bad)}")
+        raise DataError(f"{path}:{line(len(ids))}: {bad}")
     if error.row is None:
         raise error
     raise DataError(f"{path}:{line(error.row)}: {error.reason}") from None

@@ -1,14 +1,18 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fusionopt
-from fusionopt.cli import main
+import fusionopt.cli as cli
+from fusionopt.cli import COMPARISON_ORDER, main
+from fusionopt.errors import ConfigError, InvalidWeightsError
 from fusionopt.scoreio import LabelVector, ScoreMatrix, load_scores, write_labels, write_scores
 from fusionopt.textprep import TextSample, read_samples, write_samples
 
@@ -111,6 +115,27 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: labels must be class indices int64 can hold, got {label}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("big_in", ["scores", "labels"])
+    def test_a_field_over_the_csv_limit_exits_one_without_a_report(self, tmp_path, capsys,
+                                                                  big_in):
+        big = "x" * 131073
+        ids = {name: ["a", f'"{big}"' if name == big_in else "b"]
+               for name in ("scores", "labels")}
+        scores, labels = tmp_path / "m.csv", tmp_path / "labels.csv"
+        scores.write_text("sample_id,class_0,class_1\n{},0.9,0.1\n{},0.2,0.8\n".format(
+            *ids["scores"]), encoding="utf-8")
+        labels.write_text("sample_id,label\n{},0\n{},1\n".format(*ids["labels"]),
+                          encoding="utf-8")
+        out = tmp_path / "report.csv"
+        code = main(["evaluate", "--scores", str(scores), "--labels", str(labels),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        path = scores if big_in == "scores" else labels
+        assert code == 1
+        assert captured.err == f"error: {path}:3: field larger than field limit (131072)\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -515,6 +540,200 @@ class TestThreadedBlas:
             runs.append((run.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
         assert len(runs[0][1]) == 7
         assert runs[0] == runs[1]
+
+
+BUNDLED_MANIFEST = Path(__file__).resolve().parents[1] / "data" / "synthetic" / "manifest.json"
+
+
+def _cpus(monkeypatch, n):
+    """Make ``compare`` see ``n`` usable CPUs: one runs its searches in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _compare_outputs(main_argv, out, capsys):
+    code = main(main_argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, {
+        p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="searches fork only where os.fork exists")
+class TestForkedSearches:
+    """Searches forked one per method give what an in-process run gives, byte for byte."""
+
+    @pytest.mark.parametrize("corpus", ["bundled", "k3"])
+    def test_forked_and_in_process_outputs_are_byte_identical(self, tmp_path, capsys,
+                                                              monkeypatch, corpus):
+        if corpus == "bundled":
+            manifest = BUNDLED_MANIFEST
+        else:
+            ds = random_dataset(np.random.default_rng(3), n_models=3, n_samples=150,
+                                n_classes=3)
+            manifest = _write_corpus(tmp_path / "corpus", ds,
+                                     validation_ids=list(ds.sample_ids[:100]))
+        forks = _count_forks(monkeypatch)
+        runs = []
+        for cpus in (2, 1):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}" / "cmp.csv"
+            out.parent.mkdir()
+            runs.append(_compare_outputs(
+                ["compare", "--manifest", str(manifest), "--out", str(out)], out, capsys))
+            assert len(forks) == 6
+        assert runs[0][0] == 0
+        assert len(runs[0][3]) == 7
+        assert runs[0] == runs[1]
+        assert _no_children_left()
+
+    def test_optimize_runs_its_one_search_in_process(self, tmp_path, capsys, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        assert main(["optimize", "--manifest", str(BUNDLED_MANIFEST),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        assert forks == []
+
+    def test_a_returned_result_keeps_read_only_weights(self, tmp_path, monkeypatch):
+        from fusionopt.objective import make_objective
+        from fusionopt.optimizers import OptimizerConfig
+        from fusionopt.scoreio import load_manifest, load_manifest_splits
+
+        _cpus(monkeypatch, 2)
+        validation, _ = load_manifest_splits(load_manifest(BUNDLED_MANIFEST))
+        configs = [OptimizerConfig(method=m, seed=1) for m in ("equal", "pso")]
+        with cli._searches(make_objective(validation), validation.num_models,
+                           configs) as outcomes:
+            results = [outcome() for outcome in outcomes]
+        assert [r.method for r in results] == ["equal", "pso"]
+        for result in results:
+            assert not result.best_weights.values.flags.writeable
+        assert _no_children_left()
+
+    def test_log_records_come_out_in_method_order(self, tmp_path):
+        # Run as a program, so that records reach stderr through logging's
+        # default handler as they do from the command line.
+        program = (
+            "import logging, os, sys\n"
+            "import fusionopt.cli as cli\n"
+            "real = cli.optimize\n"
+            "def optimize(objective, n_models, config):\n"
+            "    logging.getLogger('fusionopt.optimizers').warning("
+            "'searching with %s', config.method)\n"
+            "    return real(objective, n_models, config)\n"
+            "cli.optimize = optimize\n"
+            "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+            "print('unflushed before the searches')\n"
+            "raise SystemExit(cli.main(sys.argv[2:]))\n"
+        )
+        runs = []
+        for cpus in ("2", "1"):
+            out = tmp_path / f"cpus{cpus}" / "cmp.csv"
+            run = subprocess.run(
+                [sys.executable, "-c", program, cpus, "compare",
+                 "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)],
+                capture_output=True, text=True, timeout=120, env=_module_env())
+            assert run.returncode == 0, run.stderr
+            runs.append((run.stdout, run.stderr,
+                         {p.name: p.read_bytes() for p in out.parent.iterdir()}))
+        assert runs[0][1] == "".join(f"searching with {m}\n" for m in COMPARISON_ORDER)
+        assert runs[0][0].count("unflushed before the searches") == 1
+        assert runs[0] == runs[1]
+
+    def test_each_row_is_printed_once_to_a_pipe(self, tmp_path):
+        run = subprocess.run([sys.executable, "-m", "fusionopt", "compare",
+                              "--manifest", str(BUNDLED_MANIFEST),
+                              "--out", str(tmp_path / "cmp.csv")],
+                             capture_output=True, text=True, timeout=120, env=_module_env())
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
+        lines = run.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(COMPARISON_ORDER)
+
+    @staticmethod
+    def _failing_search(monkeypatch, failures):
+        real = cli.optimize
+
+        def optimize(objective, n_models, config):
+            failure = failures.get(config.method)
+            if failure is None:
+                return real(objective, n_models, config)
+            return failure()
+
+        monkeypatch.setattr(cli, "optimize", optimize)
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_the_first_failing_method_in_order_is_reported(self, tmp_path, capsys,
+                                                           monkeypatch, cpus):
+        def ga():
+            raise ConfigError("ga went wrong")
+
+        def powell():
+            raise InvalidWeightsError("powell went wrong")
+
+        self._failing_search(monkeypatch, {"ga": ga, "powell": powell})
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / "out" / "cmp.csv"
+        code = main(["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: method 'ga': ga went wrong\n"
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == ["equal", "pso"]
+        assert not out.parent.exists()
+        assert _no_children_left()
+
+    def test_a_killed_search_is_named_and_reaped(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def ga():
+            assert os.getpid() != parent, "the search must run in a child"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self._failing_search(monkeypatch, {"ga": ga})
+        _cpus(monkeypatch, 2)
+        out = tmp_path / "out" / "cmp.csv"
+        code = main(["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"error: method 'ga': search process killed by signal "
+                                f"{int(signal.SIGKILL)} before it sent a result\n")
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == ["equal", "pso"]
+        assert not out.parent.exists()
+        assert _no_children_left()
+
+    def test_an_interrupt_in_the_parent_kills_the_running_searches(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def bf():
+            time.sleep(60)
+
+        def interrupted(row):
+            raise KeyboardInterrupt
+
+        self._failing_search(monkeypatch, {"bf": bf})
+        monkeypatch.setattr(cli, "_print_row", interrupted)
+        _cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--manifest", str(BUNDLED_MANIFEST),
+                  "--out", str(tmp_path / "cmp.csv")])
+        assert time.monotonic() - start < 30
+        assert _no_children_left()
 
 
 class TestManifestEdges:

@@ -724,6 +724,40 @@ class TestNumpyReader:
             assert fast == _outcome(load, path)
 
 
+class TestFieldSizeLimit:
+    """A field over ``csv``'s size limit is a fault at its line, not a ``csv.Error``."""
+
+    LIMIT = 131072  # csv's default, which the loader leaves as it is
+    BIG = "x" * (LIMIT + 1)
+    LOADERS = pytest.mark.parametrize("load, header, cells", [
+        (load_scores, "sample_id,class_0,class_1", "0.25,0.75"),
+        (load_labels, "sample_id,label", "1"),
+    ], ids=["scores", "labels"])
+
+    @LOADERS
+    def test_a_quoted_field_over_the_limit_names_its_record(self, tmp_path, load, header,
+                                                            cells):
+        path = _write(tmp_path, "t.csv", f'{header}\na,{cells}\n\n"{self.BIG}",{cells}\n')
+        with pytest.raises(DataError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == f"{path}:4: field larger than field limit ({self.LIMIT})"
+        assert csv.field_size_limit() == self.LIMIT
+
+    @LOADERS
+    def test_an_earlier_fault_comes_first(self, tmp_path, load, header, cells):
+        path = _write(tmp_path, "t.csv", f'{header}\na,{cells}\na,{cells}\n"{self.BIG}",{cells}\n')
+        with pytest.raises(DataError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == f"{path}:3: duplicate sample_id 'a' (first seen at line 2)"
+
+    @LOADERS
+    def test_a_header_over_the_limit_is_line_one(self, tmp_path, load, header, cells):
+        path = _write(tmp_path, "t.csv", f'{header},"{self.BIG}"\na,{cells}\n')
+        with pytest.raises(DataError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == f"{path}:1: field larger than field limit ({self.LIMIT})"
+
+
 class TestWriter:
     # Each example writes the same files, so reusing tmp_path is safe.
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
