@@ -10,7 +10,7 @@ compare    run the six-method comparison from a manifest; beside its report
 prep       clean / balance / augment a JSONL sample file
 
 Exit codes: 0 success, 1 domain error (validation or optimizer failure),
-2 I/O or usage error.
+2 I/O or usage error, or a search process that died without a result.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
     order, so output, errors and log records come out as from a serial run.
     Forking cannot change a bit: each search has its own evaluation tracker,
     draws only from its own counter-based ``rng_stream(seed, site)``, and
-    reads the objective's tables without writing them. A child holds its
-    search's memory itself, beside the parent's.
+    reads the objective's tables without writing them. A child inherits the
+    objective through the fork, so no table is pickled; it holds its search's
+    memory itself, beside the parent's.
     """
     check_variant(variant)
     own = OptimizerConfig(method=manifest.method, seed=seed, grid_step=grid_step,
@@ -158,7 +159,7 @@ def _fork(search, method, children):
             package.handlers, package.propagate = [handler], False
             try:
                 outcome = search(), None
-            except BaseException as exc:
+            except BaseException as exc:  # the parent raises it
                 outcome = None, exc
             with open(write_fd, "wb") as fh:
                 pickle.dump((*outcome, handler.records), fh)

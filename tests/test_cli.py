@@ -627,11 +627,12 @@ class TestForkedSearches:
         assert _no_children_left()
 
     def test_log_records_come_out_in_method_order(self, tmp_path):
-        # Run as a program, so that records reach stderr through logging's
-        # default handler as they do from the command line.
+        # Run as a program, so that records reach stderr through a handler of
+        # its own, as they would in a script that configures logging.
         program = (
             "import logging, os, sys\n"
             "import fusionopt.cli as cli\n"
+            "logging.basicConfig(format='%(name)s: %(message)s')\n"
             "real = cli.optimize\n"
             "def optimize(objective, n_models, config):\n"
             "    logging.getLogger('fusionopt.optimizers').warning("
@@ -652,7 +653,8 @@ class TestForkedSearches:
             assert run.returncode == 0, run.stderr
             runs.append((run.stdout, run.stderr,
                          {p.name: p.read_bytes() for p in out.parent.iterdir()}))
-        assert runs[0][1] == "".join(f"searching with {m}\n" for m in COMPARISON_ORDER)
+        assert runs[0][1] == "".join(
+            f"fusionopt.optimizers: searching with {m}\n" for m in COMPARISON_ORDER)
         assert runs[0][0].count("unflushed before the searches") == 1
         assert runs[0] == runs[1]
 
@@ -698,12 +700,19 @@ class TestForkedSearches:
         assert not out.parent.exists()
         assert _no_children_left()
 
-    def test_a_killed_search_is_named_and_reaped(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("death, ended", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         f"killed by signal {int(signal.SIGKILL)}"),
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os._exit(0), "exited with status 0"),
+    ], ids=["sigkill", "exit", "exit-0"])
+    def test_a_search_process_that_dies_is_named_and_reaped(self, tmp_path, capsys,
+                                                            monkeypatch, death, ended):
         parent = os.getpid()
 
         def ga():
             assert os.getpid() != parent, "the search must run in a child"
-            os.kill(os.getpid(), signal.SIGKILL)
+            death()
 
         self._failing_search(monkeypatch, {"ga": ga})
         _cpus(monkeypatch, 2)
@@ -711,8 +720,8 @@ class TestForkedSearches:
         code = main(["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == (f"error: method 'ga': search process killed by signal "
-                                f"{int(signal.SIGKILL)} before it sent a result\n")
+        assert captured.err == (
+            f"error: method 'ga': search process {ended} before it sent a result\n")
         assert [line.split(":")[0] for line in captured.out.splitlines()] == ["equal", "pso"]
         assert not out.parent.exists()
         assert _no_children_left()
