@@ -1,8 +1,10 @@
+import errno
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -575,7 +577,25 @@ def _no_children_left():
     return True
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="searches fork only where os.fork exists")
+def _openblas_threads():
+    """Threads of each OpenBLAS this process has loaded, as OpenBLAS reports them."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    counts = []
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            if hasattr(library, name):
+                counts.append(getattr(library, name)())
+                break
+    return counts
+
+
+@pytest.mark.skipif(not (sys.platform == "linux" and cli._blas_thread_setters()),
+                    reason="searches fork only on Linux, with numpy on OpenBLAS")
 class TestForkedSearches:
     """Searches forked one per method give what an in-process run gives, byte for byte."""
 
@@ -607,6 +627,15 @@ class TestForkedSearches:
         forks = _count_forks(monkeypatch)
         _cpus(monkeypatch, 2)
         assert main(["optimize", "--manifest", str(BUNDLED_MANIFEST),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        assert forks == []
+
+    def test_compare_runs_in_process_where_blas_threads_cannot_be_set(
+            self, tmp_path, capsys, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_blas_thread_setters", lambda: [])
+        assert main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                      "--out", str(tmp_path / "r.csv")]) == 0
         assert forks == []
 
@@ -742,6 +771,174 @@ class TestForkedSearches:
             main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                   "--out", str(tmp_path / "cmp.csv")])
         assert time.monotonic() - start < 30
+        assert _no_children_left()
+
+    def test_a_signal_just_after_a_reap_kills_no_stranger(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # The signal lands between reaping a child and unlisting it; the
+        # reaped pid must not be signalled, for it may be reused by then.
+        real_waitpid, real_kill = os.waitpid, os.kill
+        reaped, killed = [], []
+
+        def waitpid(pid, options):
+            result = real_waitpid(pid, options)
+            if options == 0 and not reaped:
+                reaped.append(pid)
+                raise KeyboardInterrupt
+            return result
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: (killed.append(pid), real_kill(pid, sig)))
+        _cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--manifest", str(BUNDLED_MANIFEST),
+                  "--out", str(tmp_path / "cmp.csv")])
+        assert len(reaped) == 1 and reaped[0] not in killed
+        assert _no_children_left()
+
+    def test_sigterm_to_the_parent_kills_the_running_searches(self, tmp_path):
+        # A job scheduler's timeout sends SIGTERM; no search may outlive compare.
+        program = (
+            "import os, sys, time\n"
+            "import fusionopt.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "real = cli.optimize\n"
+            "def optimize(objective, n_models, config):\n"
+            "    if config.method == 'bf':\n"
+            "        open(sys.argv[1], 'w').write(str(os.getpid()))\n"
+            "        time.sleep(60)\n"
+            "    return real(objective, n_models, config)\n"
+            "cli.optimize = optimize\n"
+            "raise SystemExit(cli.main(sys.argv[2:]))\n"
+        )
+        pid_file = tmp_path / "bf.pid"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", program, str(pid_file), "compare",
+             "--manifest", str(BUNDLED_MANIFEST), "--out", str(tmp_path / "out" / "cmp.csv")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env())
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists() or not pid_file.read_text():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            search = int(pid_file.read_text())
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()
+            proc.communicate()
+        with pytest.raises(ProcessLookupError):
+            os.kill(search, 0)
+        assert not (tmp_path / "out").exists()
+
+    def test_sigterm_handler_is_restored(self, tmp_path, capsys, monkeypatch):
+        _cpus(monkeypatch, 2)
+
+        def handler(signum, frame):
+            pass
+
+        before = signal.signal(signal.SIGTERM, handler)
+        try:
+            assert main(["compare", "--manifest", str(BUNDLED_MANIFEST),
+                         "--out", str(tmp_path / "cmp.csv")]) == 0
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, before)
+
+    @pytest.mark.parametrize("call, failing", [("fork", 1), ("fork", 3), ("pipe", 1)],
+                             ids=["first-fork", "third-fork", "first-pipe"])
+    def test_searches_that_cannot_fork_run_in_process(self, tmp_path, capsys, monkeypatch,
+                                                      call, failing):
+        # A process or descriptor limit makes fork or pipe fail with EAGAIN
+        # or EMFILE; the searches not yet started then run in the parent.
+        out = tmp_path / "in-process" / "cmp.csv"
+        out.parent.mkdir()
+        _cpus(monkeypatch, 1)
+        expected = _compare_outputs(
+            ["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)], out, capsys)
+        _cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        calls, real = [], getattr(os, call)
+
+        def limited():
+            calls.append(1)
+            if len(calls) >= failing:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, call, limited)
+        out = tmp_path / "limited" / "cmp.csv"
+        out.parent.mkdir()
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        got = _compare_outputs(
+            ["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)], out, capsys)
+        assert got == expected
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+        assert len(forks) == (failing - 1 if call == "fork" else 0)
+        assert _no_children_left()
+
+    def test_compare_from_another_thread_runs_in_process(self, tmp_path, capsys, monkeypatch):
+        _cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(
+            ["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(tmp_path / "c.csv")])))
+        thread.start()
+        thread.join()
+        assert codes == [0]
+        assert forks == []
+
+    def test_a_search_runs_openblas_on_one_thread(self, tmp_path, capsys, monkeypatch):
+        def ga():
+            raise ConfigError(f"openblas threads {_openblas_threads()}")
+
+        self._failing_search(monkeypatch, {"ga": ga})
+        _cpus(monkeypatch, 2)
+        # Two threads in the parent, whatever this host's CPU count.
+        threads = _openblas_threads()
+        setters = cli._blas_thread_setters()
+        for set_threads in setters:
+            set_threads(2)
+        try:
+            assert main(["compare", "--manifest", str(BUNDLED_MANIFEST),
+                         "--out", str(tmp_path / "cmp.csv")]) == 1
+        finally:
+            for set_threads, count in zip(setters, threads):
+                set_threads(count)
+        assert capsys.readouterr().err == "error: method 'ga': openblas threads [1]\n"
+        assert _no_children_left()
+
+    def test_an_unexpected_error_keeps_the_search_traceback(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def ga():
+            return [][0]
+
+        self._failing_search(monkeypatch, {"ga": ga})
+        _cpus(monkeypatch, 2)
+        with pytest.raises(IndexError) as info:
+            main(["compare", "--manifest", str(BUNDLED_MANIFEST),
+                  "--out", str(tmp_path / "cmp.csv")])
+        cause = str(info.value.__cause__)
+        assert "Traceback (most recent call last)" in cause
+        assert "in ga\n    return [][0]" in cause
+        assert _no_children_left()
+
+    def test_an_error_that_cannot_be_pickled_is_named(self, tmp_path, capsys, monkeypatch):
+        class Local(Exception):
+            pass
+
+        def ga():
+            raise Local("not importable")
+
+        self._failing_search(monkeypatch, {"ga": ga})
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError) as info:
+            main(["compare", "--manifest", str(BUNDLED_MANIFEST),
+                  "--out", str(tmp_path / "cmp.csv")])
+        assert str(info.value) == (
+            "search raised Local('not importable'), which cannot be pickled")
+        assert "in ga\n    raise Local" in str(info.value.__cause__)
+        assert not (tmp_path / "cmp.csv").exists()
         assert _no_children_left()
 
 
