@@ -106,30 +106,30 @@ def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
     return 0
 
 
-def _blas_thread_setters() -> list:
-    """``openblas_set_num_threads`` of each OpenBLAS loaded in this process (Linux only).
+def _openblas_threads() -> list:
+    """``(get, set)`` of ``openblas_*_num_threads`` for each OpenBLAS loaded here (Linux only).
 
     Forked searches share the CPUs with each other. OpenBLAS splits a large
     ``sgemv`` over its threads, and its idle threads spin, so searches that
-    each keep their own thread pool wait on one another: a 100,000-sample
-    compare on two CPUs took 6x as long as serial. A forked search therefore
-    runs OpenBLAS on one thread, and searches fork only where that can be
-    set.
+    each keep a thread pool wait on one another: a 100,000-sample compare on
+    two CPUs took 6x as long as serial. So searches fork only where OpenBLAS
+    can be set to one thread.
     """
     with open("/proc/self/maps", encoding="utf-8") as maps:
         paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
-    setters = []
+    controls = []
     for path in sorted(paths):
         try:
             library = ctypes.CDLL(path)
         except OSError:  # a mapping that is not a loadable library
             continue
-        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
-            if hasattr(library, name):
-                setters.append(getattr(library, name))
+        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
+            name = f"{prefix}openblas_{{}}_num_threads{suffix}"
+            if hasattr(library, name.format("set")):
+                controls.append((getattr(library, name.format("get")),
+                                 getattr(library, name.format("set"))))
                 break
-    return setters
+    return controls
 
 
 def _terminate(signum, frame):
@@ -153,7 +153,7 @@ def _searches(objective, n_models, configs):
     # SIGTERM's handler can be set only from the main thread.
     forks = (len(configs) > 1 and sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
              and threading.current_thread() is threading.main_thread())
-    blas = _blas_thread_setters() if forks else []
+    blas = _openblas_threads() if forks else []
     if not blas:
         yield searches
         return
@@ -162,11 +162,16 @@ def _searches(objective, n_models, configs):
     sys.stderr.flush()
     children: dict[int, int] = {}  # pid -> read end of its pipe
     previous = signal.signal(signal.SIGTERM, _terminate)
+    threads = [get() for get, _ in blas]
     try:
+        # Set here, the children inherit it. Set in a child, it would start
+        # a thread pool there whose idle thread spins.
+        for _, set_threads in blas:
+            set_threads(1)
         calls = []
         for search, config in zip(searches, configs):
             try:
-                calls.append(_fork(search, config.method, children, blas))
+                calls.append(_fork(search, config.method, children))
             except OSError:
                 calls.extend(searches[len(calls):])
                 break
@@ -180,6 +185,8 @@ def _searches(objective, n_models, configs):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
             os.close(fd)
+        for (_, set_threads), count in zip(blas, threads):
+            set_threads(count)
         signal.signal(signal.SIGTERM, previous)
 
 
@@ -202,7 +209,7 @@ class _SearchTraceback(Exception):
         return f'\n"""\n{self.args[0]}"""'
 
 
-def _fork(search, method, children, blas):
+def _fork(search, method, children):
     """Start ``search`` in a child; return the call that collects its outcome."""
     read_fd, write_fd = os.pipe()
     try:
@@ -215,8 +222,6 @@ def _fork(search, method, children, blas):
         status = 1
         try:
             os.close(read_fd)
-            for set_threads in blas:
-                set_threads(1)
             handler = _Records()
             package = logging.getLogger("fusionopt")
             package.handlers, package.propagate = [handler], False

@@ -577,24 +577,7 @@ def _no_children_left():
     return True
 
 
-def _openblas_threads():
-    """Threads of each OpenBLAS this process has loaded, as OpenBLAS reports them."""
-    import ctypes
-
-    with open("/proc/self/maps", encoding="utf-8") as maps:
-        paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
-    counts = []
-    for path in sorted(paths):
-        library = ctypes.CDLL(path)
-        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
-            if hasattr(library, name):
-                counts.append(getattr(library, name)())
-                break
-    return counts
-
-
-@pytest.mark.skipif(not (sys.platform == "linux" and cli._blas_thread_setters()),
+@pytest.mark.skipif(not (sys.platform == "linux" and cli._openblas_threads()),
                     reason="searches fork only on Linux, with numpy on OpenBLAS")
 class TestForkedSearches:
     """Searches forked one per method give what an in-process run gives, byte for byte."""
@@ -634,7 +617,7 @@ class TestForkedSearches:
             self, tmp_path, capsys, monkeypatch):
         forks = _count_forks(monkeypatch)
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(cli, "_blas_thread_setters", lambda: [])
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: [])
         assert main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                      "--out", str(tmp_path / "r.csv")]) == 0
         assert forks == []
@@ -685,6 +668,35 @@ class TestForkedSearches:
         assert runs[0][1] == "".join(
             f"fusionopt.optimizers: searching with {m}\n" for m in COMPARISON_ORDER)
         assert runs[0][0].count("unflushed before the searches") == 1
+        assert runs[0] == runs[1]
+
+    def test_one_thread_searches_match_threaded_in_process_ones(self, tmp_path):
+        # Forked searches run OpenBLAS on one thread; in-process ones here on
+        # two, which split the ``sgemv`` (see TestThreadedBlas). Every output
+        # must be the same.
+        ds = random_dataset(np.random.default_rng(5), n_models=4, n_samples=16_400,
+                            n_classes=9)
+        manifest = _write_corpus(
+            tmp_path / "corpus", ds, validation_ids=list(ds.sample_ids[:16_000]),
+            manifest_extra={"method": "pso", "grid_step": 0.25,
+                            "params": {"swarm_size": 4, "iterations": 10}})
+        program = (
+            "import os, sys\n"
+            "import fusionopt.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+            "raise SystemExit(cli.main(sys.argv[2:]))\n"
+        )
+        runs = []
+        for cpus in ("2", "1"):
+            out = tmp_path / f"cpus{cpus}"
+            run = subprocess.run(
+                [sys.executable, "-c", program, cpus, "compare",
+                 "--manifest", str(manifest), "--out", str(out / "cmp.csv")],
+                capture_output=True, text=True, timeout=300,
+                env=_module_env(OPENBLAS_NUM_THREADS="2"))
+            assert run.returncode == 0, run.stderr
+            runs.append((run.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert len(runs[0][1]) == 7
         assert runs[0] == runs[1]
 
     def test_each_row_is_printed_once_to_a_pipe(self, tmp_path):
@@ -889,23 +901,29 @@ class TestForkedSearches:
         assert forks == []
 
     def test_a_search_runs_openblas_on_one_thread(self, tmp_path, capsys, monkeypatch):
+        # One thread, and no thread pool started in the child: its idle
+        # thread would spin.
         def ga():
-            raise ConfigError(f"openblas threads {_openblas_threads()}")
+            tasks = len(os.listdir("/proc/self/task"))
+            threads = [get() for get, _ in cli._openblas_threads()]
+            raise ConfigError(f"openblas threads {threads}, tasks {tasks}")
 
         self._failing_search(monkeypatch, {"ga": ga})
         _cpus(monkeypatch, 2)
         # Two threads in the parent, whatever this host's CPU count.
-        threads = _openblas_threads()
-        setters = cli._blas_thread_setters()
-        for set_threads in setters:
+        controls = cli._openblas_threads()
+        threads = [get() for get, _ in controls]
+        for _, set_threads in controls:
             set_threads(2)
         try:
             assert main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                          "--out", str(tmp_path / "cmp.csv")]) == 1
+            assert [get() for get, _ in controls] == [2] * len(controls)
         finally:
-            for set_threads, count in zip(setters, threads):
+            for (_, set_threads), count in zip(controls, threads):
                 set_threads(count)
-        assert capsys.readouterr().err == "error: method 'ga': openblas threads [1]\n"
+        assert capsys.readouterr().err == (
+            f"error: method 'ga': openblas threads {[1] * len(controls)}, tasks 1\n")
         assert _no_children_left()
 
     def test_an_unexpected_error_keeps_the_search_traceback(self, tmp_path, capsys,
