@@ -145,7 +145,8 @@ def _searches(objective, n_models, configs):
     log records the search emitted, then returns or raises as the search did.
     A search whose process cannot be started (a process or descriptor limit)
     runs in-process instead. On leaving, also through SIGTERM, any child
-    still running is killed, and every child is reaped.
+    still running is killed, and every child is reaped. Forking leaves this
+    process's OpenBLAS on one thread.
     """
     searches = [partial(optimize, objective, n_models, config) for config in configs]
     # On one CPU the searches would only take turns, at a cost: a forked
@@ -161,13 +162,15 @@ def _searches(objective, n_models, configs):
     sys.stdout.flush()
     sys.stderr.flush()
     children: dict[int, int] = {}  # pid -> read end of its pipe
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    threads = [get() for get, _ in blas]
-    try:
-        # Set here, the children inherit it. Set in a child, it would start
-        # a thread pool there whose idle thread spins.
-        for _, set_threads in blas:
+    # The children inherit one OpenBLAS thread from here. Set in a child, or
+    # set back here afterwards, the count would start a thread pool whose
+    # idle thread spins for about a tenth of a second; so it is set once,
+    # and this process keeps one thread.
+    for get_threads, set_threads in blas:
+        if get_threads() != 1:
             set_threads(1)
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
         calls = []
         for search, config in zip(searches, configs):
             try:
@@ -185,8 +188,6 @@ def _searches(objective, n_models, configs):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
             os.close(fd)
-        for (_, set_threads), count in zip(blas, threads):
-            set_threads(count)
         signal.signal(signal.SIGTERM, previous)
 
 
