@@ -112,8 +112,8 @@ def _openblas_threads() -> list:
     Forked searches share the CPUs with each other. OpenBLAS splits a large
     ``sgemv`` over its threads, and its idle threads spin, so searches that
     each keep a thread pool wait on one another: a 100,000-sample compare on
-    two CPUs took 6x as long as serial. So searches fork only where OpenBLAS
-    can be set to one thread.
+    two CPUs took three to six times as long as serial. So searches fork
+    only where OpenBLAS can be set to one thread.
     """
     with open("/proc/self/maps", encoding="utf-8") as maps:
         paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
