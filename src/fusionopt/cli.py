@@ -39,6 +39,7 @@ from .scoreio import (
     REPORT_HEADER,
     ReportRow,
     ScoreMatrix,
+    _number,
     align,
     load_labels,
     load_manifest,
@@ -293,7 +294,7 @@ def cmd_evaluate(args) -> int:
 
 def _parse_weights(text: str) -> WeightVector:
     try:
-        values = [float(part) for part in text.split(",")]
+        values = [_number(part, float) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"could not parse --weights value {text!r}") from None
     return WeightVector(np.array(values))

@@ -18,7 +18,7 @@ FUSED_ROW_SUM_TOLERANCE = 1e-9
 
 
 def exact_simplex(values) -> np.ndarray:
-    """Scale a nonnegative vector so ``math.fsum`` of the result is exactly 1.0.
+    """Rescale weights that pass :class:`WeightVector` so their ``math.fsum`` is exactly 1.0.
 
     Plain division leaves the compensated sum an ulp or two away from one,
     which would make repeated normalization (or a save/load cycle) drift.
@@ -26,13 +26,11 @@ def exact_simplex(values) -> np.ndarray:
     exact residual, which makes this function a bitwise fixed point:
     ``exact_simplex(exact_simplex(x))`` returns ``exact_simplex(x)`` unchanged.
     """
-    vals = [float(v) for v in values]
+    vals = WeightVector(values).values.tolist()
     try:
         total = math.fsum(vals)
     except OverflowError:  # finite entries whose sum float64 cannot hold
         raise InvalidWeightsError("cannot normalize vector: its sum overflows float64") from None
-    if not math.isfinite(total) or total <= 0.0:
-        raise InvalidWeightsError(f"cannot normalize vector with sum {total!r}")
     if total == 1.0:
         return np.asarray(vals, dtype=np.float64)
     scaled = [v / total for v in vals]
@@ -123,9 +121,9 @@ def exact_simplex_rows(table: np.ndarray) -> np.ndarray:
 class WeightVector:
     """Per-model fusion weights; raw vectors may be unnormalized.
 
-    Entries must be finite and nonnegative with at least one strictly
-    positive. All-zero vectors are rejected here; optimizers screen raw
-    all-zero candidates before ever constructing a WeightVector.
+    The one weight rule, which :func:`exact_simplex` applies through this
+    class: a non-empty 1-D vector of finite, nonnegative entries, not all
+    zero. Optimizers screen raw all-zero candidates before scoring them.
     """
 
     values: np.ndarray

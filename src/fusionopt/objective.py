@@ -210,7 +210,7 @@ class _Scorer:
             table.setflags(write=False)
 
     def __call__(self, raw) -> float:
-        weights = exact_simplex(WeightVector(raw).values)
+        weights = exact_simplex(raw)
         if self._variant == "score_mass":
             return float(np.mean(combine(weights, self._classes[:, :1])[0]))
         check_weight_count(weights, len(self._margins))

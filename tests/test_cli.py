@@ -221,7 +221,9 @@ class TestFuse:
     @pytest.mark.parametrize("weights, code, message", [
         ("1e308,1e308", 1, "cannot normalize vector: its sum overflows float64"),
         ("0.5,x", 2, "could not parse --weights value '0.5,x'"),
-    ], ids=["sum-overflows", "not-a-number"])
+        ("1_0,2", 2, "could not parse --weights value '1_0,2'"),
+        ("\u0967,2", 2, "could not parse --weights value '\u0967,2'"),
+    ], ids=["sum-overflows", "not-a-number", "underscore", "non-ascii-digit"])
     def test_bad_weights_exit_with_one_error_line_and_no_output(self, tmp_path, capsys,
                                                                 weights, code, message):
         for name, rows in (("m1", "a,0.8,0.2\nb,0.4,0.6\n"), ("m2", "a,0.2,0.8\nb,0.6,0.4\n")):

@@ -18,6 +18,7 @@ from fusionopt.fusion import (
     normalize,
     predict,
 )
+from fusionopt.objective import OBJECTIVE_VARIANTS, make_objective
 
 from synthdata import random_dataset
 
@@ -63,6 +64,25 @@ class TestNormalize:
         out = exact_simplex(np.array(vals))
         total = math.fsum(vals)
         np.testing.assert_allclose(out, np.array(vals) / total, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("entry", ["WeightVector", "exact_simplex", *OBJECTIVE_VARIANTS])
+@pytest.mark.parametrize("values, message", [
+    ([0.5, -0.1], "weights contain negative entries"),
+    ([0.5, math.nan], "weights contain non-finite entries"),
+    ([math.inf, 1.0], "weights contain non-finite entries"),
+    ([0.0, 0.0], "weights are all zero"),
+    ([], "weights must form a non-empty 1-D vector"),
+    ([[0.5], [0.5]], "weights must form a non-empty 1-D vector"),
+], ids=["negative", "nan", "inf", "all-zero", "empty", "2-d"])
+def test_every_entry_point_applies_the_one_weight_rule(entry, values, message):
+    if entry in OBJECTIVE_VARIANTS:
+        apply = make_objective(random_dataset(np.random.default_rng(3), n_models=2), entry)
+    else:
+        apply = getattr(fusionopt.fusion, entry)
+    with pytest.raises(InvalidWeightsError) as caught:
+        apply(np.array(values, dtype=np.float64))
+    assert str(caught.value) == message
 
 
 def _per_row_reference(table):

@@ -7,13 +7,18 @@ result JSON ``compare`` writes per method must equal ``optimize``'s.
 weights ``3,2,1`` over the three bundled models and ``fusionopt evaluate``
 on that fused CSV. Any change to the fusion arithmetic, the tie rule, a
 search method, the score CSV writer or the report/JSON formatting shows up
-here as a byte difference.
+here as a byte difference. ``scripts/make_synthetic.py`` must rewrite the
+corpus itself byte for byte.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fusionopt
 from fusionopt.cli import COMPARISON_ORDER, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -53,3 +58,16 @@ def test_fuse_then_evaluate_is_byte_identical(tmp_path):
     assert main(["evaluate", "--scores", str(fused), "--labels", str(BUNDLED / "labels.csv"),
                  "--out", str(report)]) == 0
     assert report.read_bytes() == (GOLDEN / "evaluate.csv").read_bytes()
+
+
+def test_make_synthetic_regenerates_the_bundled_corpus(tmp_path):
+    src = Path(fusionopt.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "make_synthetic.py"), "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stderr
+    names = sorted(path.name for path in BUNDLED.iterdir())
+    assert len(names) == 6
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (BUNDLED / name).read_bytes(), name
