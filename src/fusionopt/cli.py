@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FusionOptError, UsageError
-from .fusion import WeightVector, equal_weights, fuse, normalize, predict
+from .fusion import WeightVector, equal_weights, fuse, predict
 from .objective import OBJECTIVE_VARIANTS, check_variant, confusion, make_objective, metrics
 from .optimizers import METHODS, OptimizerConfig, optimize, write_result_json
 from .scoreio import (
@@ -66,7 +66,8 @@ def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
     Every search setting is checked here, under the seed and grid step left
     after command-line overrides, before any score file is read. The objective
     is built once, and nothing is written until every method has succeeded.
-    ``json_path(method)`` names a method's result JSON.
+    ``json_path(method)`` names a method's result JSON, which must not be
+    the report's path ``out``.
 
     With more than one method, on Linux with more than one usable CPU and
     numpy on OpenBLAS, each search runs in a forked process of its own, on
@@ -81,6 +82,9 @@ def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
     two together stayed below the parent's own peak from reading the files.
     """
     check_variant(variant)
+    for method in methods:
+        if json_path(method) == out:
+            raise UsageError(f"report path '{out}' is also the result JSON of method '{method}'")
     own = OptimizerConfig(method=manifest.method, seed=seed, grid_step=grid_step,
                           params=manifest.params)
     configs = [own if method == own.method else
@@ -304,7 +308,7 @@ def cmd_fuse(args) -> int:
     labels = load_labels(args.labels)
     matrices = [load_scores(p) for p in args.scores]
     dataset = align(matrices, labels)
-    fused = fuse(dataset, normalize(_parse_weights(args.weights)))
+    fused = fuse(dataset, _parse_weights(args.weights))
     write_scores(ScoreMatrix("fused", fused.sample_ids, fused.fused), args.out)
     print(f"wrote fused scores for {dataset.num_samples} samples to {args.out}")
     return 0

@@ -172,7 +172,8 @@ class FusedScores:
         if np.any(off > FUSED_ROW_SUM_TOLERANCE):
             i = int(np.argmax(off))
             raise InvalidWeightsError(
-                f"fused row {i} sums to {sums[i]!r}; convex combinations must stay on the simplex"
+                f"fused row {i} sums to {float(sums[i])!r}; "
+                "convex combinations must stay on the simplex"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "fused", arr)
@@ -269,21 +270,14 @@ def combine(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def fuse(dataset, weights: WeightVector) -> FusedScores:
-    """Linear combination of the models' score tables under ``weights``.
+    """Linear combination of the models' score tables under ``weights``, normalized.
 
-    ``fused[i][k] = sum_n weights[n] * scores_n[i][k]``. Expects normalized
-    weights; a unit weight on one model reproduces that model's table
-    bit-identically.
+    ``fused[i][k] = sum_n w[n] * scores_n[i][k]`` with ``w`` the
+    :func:`exact_simplex` of ``weights``, a bitwise fixed point, so already
+    normalized weights are used as they are and a unit weight on one model
+    reproduces that model's table bit-identically.
     """
-    try:
-        total = math.fsum(float(v) for v in weights.values)
-    except OverflowError:  # finite weights whose sum float64 cannot hold
-        total = math.inf
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidWeightsError(
-            f"fuse expects normalized weights; got sum {total!r}"
-        )
-    return FusedScores(dataset.sample_ids, combine(weights.values, dataset.stack))
+    return FusedScores(dataset.sample_ids, combine(exact_simplex(weights.values), dataset.stack))
 
 
 def predict(fused_scores: FusedScores) -> Predictions:

@@ -107,8 +107,8 @@ def check_variant(variant: str) -> None:
 def _screen_width(stack) -> np.float32:
     """The screen's ``delta``: float32 margins beyond +/-delta have the float64 sign.
 
-    Let ``D`` be a sample's exact margin ``sum_m w_m a_m``, a_m = s_mr - s_m0,
-    for a rival ``r`` over its true class 0, ``d`` the screen's float32 sum
+    Let ``D`` be a sample's exact margin ``sum_m w_m a_m``, a_m = s_mr - s_my,
+    for a rival ``r`` over its true class ``y``, ``d`` the screen's float32 sum
     of ``fl32(w_m) * fl32(fl64(a_m))`` and ``e`` the float64 path's. Then
     ``|d - D| + |e - D| <= delta``, so ``d > delta`` gives ``e > 0`` and
     ``d < -delta`` gives ``e < 0``.
@@ -164,30 +164,26 @@ def _screen_width(stack) -> np.float32:
 class _Scorer:
     """Cumulative accuracy of raw weight vectors on one validation split.
 
-    The data is laid out once, true class first: a copy of the stack of
-    shape (M, K, N) whose row 0 holds each sample's true-class score and
-    whose rows 1..K-1 hold its rivals in ascending class order, plus a
-    (K-1, N) tie table. :func:`fusion.combine` sums in model order whatever
-    the layout, so the fused values are :func:`fusion.fuse`'s bit for bit.
-    Under the argmax rule, ties going to the lowest class, a sample is
-    wrong when a rival below its label scores at least as much as the true
-    class, or a rival above it scores more. The difference of two finite
-    doubles is zero only when they are equal and keeps its sign under
-    gradual underflow, so both cases read ``rival - true >= tie``, with a
-    tie entry of 0.0 below the label and the smallest subnormal above it.
+    It keeps a reference to the dataset's read-only (M, N, K) stack and its
+    labels, and builds two tables: each sample's true-class score, of shape
+    (M, 1, N), which ``score_mass`` fuses, and a float32 margin table.
+    :func:`fusion.combine` sums in model order whatever the layout, so the
+    fused values are :func:`fusion.fuse`'s bit for bit.
 
-    ``fused_accuracy`` first screens every sample in float32 on a margin
-    table of shape (M, (K-1)*N): each rival's score minus the true score,
-    subtracted in float64 and rounded to float32. One matrix-vector
-    product of the float32-rounded weights with it (a BLAS ``sgemv``) gives
-    every rival's margin, and the largest over the rivals is the sample's.
-    Beyond ``+/-delta`` (see :func:`_screen_width`, whose bound holds in
-    any summation order) a float32 margin has the float64 margin's sign,
-    so a sample above ``delta`` is wrong, and one below ``-delta`` has
-    every float64 margin negative and is right, under either tie entry.
-    Only the samples in between, near a tie, go through the float64 rule
-    on their own columns, so the count is the float64 rule's exactly. The
-    tables are read-only; a call writes only to its own buffers.
+    ``fused_accuracy`` first screens every sample in float32 on the margin
+    table, of shape (M, (K-1)*N): each rival's score minus the true score,
+    rivals in ascending class order, subtracted in float64 and rounded to
+    float32. One matrix-vector product of the float32-rounded weights with
+    it (a BLAS ``sgemv``) gives every rival's margin, and the largest over
+    the rivals is the sample's. Beyond ``+/-delta`` (see
+    :func:`_screen_width`, whose bound holds in any summation order) a
+    float32 margin has the float64 margin's sign, so a sample above
+    ``delta`` has a rival above its true class and is wrong, and one below
+    ``-delta`` has its true class above every rival and is right. Only the
+    samples in between, near a tie, are fused in float64 and judged by
+    :func:`fusion.predict`'s rule, the argmax with ties going to the lowest
+    class, so the count is that rule's exactly. The tables are read-only;
+    a call writes only to its own buffers.
     """
 
     def __init__(self, dataset, variant: str):
@@ -196,32 +192,30 @@ class _Scorer:
             raise DataError(
                 f"the objective is defined on the validation split, got '{dataset.split}'"
             )
-        y = dataset.y
+        y, stack = dataset.y, dataset.stack
+        self._variant, self._stack, self._y = variant, stack, y
         rival = np.arange(dataset.num_classes - 1)[:, None]
-        order = np.vstack([y, rival + (rival >= y)])
-        self._variant = variant
-        self._classes = np.ascontiguousarray(
-            np.take_along_axis(dataset.stack.transpose(0, 2, 1), order[None], axis=1))
-        margins = self._classes[:, 1:] - self._classes[:, :1]
+        by_class = stack.transpose(0, 2, 1)  # (M, K, N); the tables come out in C order
+        self._true = np.take_along_axis(by_class, y[None, None], axis=1)
+        margins = np.take_along_axis(by_class, (rival + (rival >= y))[None], axis=1)
+        margins -= self._true
         self._margins = margins.astype(np.float32).reshape(len(margins), -1)
-        self._tie = np.where(rival < y, 0.0, np.nextafter(0.0, 1.0))
-        self._delta = _screen_width(self._classes)
-        for table in (self._classes, self._margins, self._tie):
+        self._delta = _screen_width(stack)
+        for table in (self._true, self._margins):
             table.setflags(write=False)
 
     def __call__(self, raw) -> float:
         weights = exact_simplex(raw)
         if self._variant == "score_mass":
-            return float(np.mean(combine(weights, self._classes[:, :1])[0]))
+            return float(np.mean(combine(weights, self._true)[0]))
         check_weight_count(weights, len(self._margins))
         screen = weights.astype(np.float32) @ self._margins
-        margin = screen.reshape(len(self._tie), -1).max(axis=0)
+        margin = screen.reshape(-1, len(self._y)).max(axis=0)
         wrong = np.count_nonzero(margin > self._delta)
         if np.count_nonzero(margin >= -self._delta) > wrong:  # a margin within +/-delta
             near = np.flatnonzero(np.abs(margin) <= self._delta)
-            exact = combine(weights, self._classes[:, :, near])
-            exact[1:] -= exact[0]  # in place: ``exact`` is this call's own buffer
-            wrong += np.count_nonzero((exact[1:] >= self._tie[:, near]).any(axis=0))
+            fused = combine(weights, self._stack[:, near])
+            wrong += np.count_nonzero(fused.argmax(axis=1) != self._y[near])
         return (margin.size - wrong) / margin.size
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Protocol
 
 from .errors import AugmentationError, DataError
 from .optimizers.common import check_seed, rng_stream
-from .scoreio import open_input
+from .scoreio import _first_repeat, open_input
 
 _URL_RE = re.compile(r"https?://\S*")
 _HANDLE_RE = re.compile(r"@\w+")
@@ -159,9 +159,9 @@ def augment_backtranslate(
 
 
 def read_samples(path) -> list[TextSample]:
-    """Read JSONL samples, reporting the offending line on parse errors."""
+    """Read JSONL samples, reporting the offending line on parse errors and repeated ids."""
     path = Path(path)
-    samples = []
+    samples, linenos = [], []
     with open_input(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     for lineno, line in enumerate(lines, start=1):
@@ -188,13 +188,23 @@ def read_samples(path) -> list[TextSample]:
             )
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
     if not samples:
         raise DataError(f"{path}: no samples")
+    repeat = _first_repeat([s.sample_id for s in samples])
+    if repeat is not None:
+        i, first = repeat
+        raise DataError(f"{path}:{linenos[i]}: duplicate sample_id '{samples[i].sample_id}' "
+                        f"(first seen at line {linenos[first]})")
     return samples
 
 
 def write_samples(samples: list[TextSample], path) -> None:
+    """Write JSONL samples; a repeated sample_id raises before the file is opened."""
     path = Path(path)
+    repeat = _first_repeat([s.sample_id for s in samples])
+    if repeat is not None:
+        raise DataError(f"{path}: duplicate sample_id '{samples[repeat[0]].sample_id}'")
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         json.dumps(

@@ -1,6 +1,8 @@
 import errno
 import json
 import os
+import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 import fusionopt
 import fusionopt.cli as cli
 from fusionopt.cli import COMPARISON_ORDER, main
-from fusionopt.errors import ConfigError, InvalidWeightsError
+from fusionopt.errors import ConfigError, DataError, InvalidWeightsError
 from fusionopt.scoreio import LabelVector, ScoreMatrix, load_scores, write_labels, write_scores
 from fusionopt.textprep import TextSample, read_samples, write_samples
 
@@ -422,6 +424,23 @@ class TestRunner:
                      "--out", str(tmp_path / "r.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: method 'bf': grid_step 0.3 ")
+
+    @pytest.mark.parametrize("where", ["flag", "manifest"])
+    def test_a_report_on_the_result_json_path_exits_two_before_reading_scores(
+            self, tmp_path, capsys, where):
+        root = tmp_path / "c"
+        manifest = _write_corpus(root, tiered_dataset(3, n_samples=30),
+                                 manifest_extra={"output": "run.json"})
+        # Unreadable as a score table: reading it would raise a data error.
+        (root / "m0.csv").write_text("not,a,score\ntable\n", encoding="utf-8")
+        out = tmp_path / "run.json" if where == "flag" else root / "run.json"
+        flag = ["--out", str(out)] if where == "flag" else []
+        assert main(["optimize", "--manifest", str(manifest), *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: report path '{out}' is also the result JSON of method 'bf'\n")
+        assert not out.exists()
 
     def test_optimize_search_error_names_its_method(self, tmp_path, capsys):
         manifest = _write_corpus(tmp_path / "c", tiered_dataset(2, n_samples=30),
@@ -1109,6 +1128,36 @@ class TestPrep:
                      "--source-lang", "it", "--target-lang", "en"]) == 0
         assert len(read_samples(out)) == 11
 
+    def test_repeated_sample_id_exits_one_naming_both_lines(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        line = '{{"sample_id": "{}", "text": "x", "label": 0, "lang": "en"}}\n'
+        src.write_text(line.format("a") + "\n" + line.format("b") + line.format("a"),
+                       encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert main(["prep", "clean", str(src), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {src}:4: duplicate sample_id 'a' (first seen at line 1)\n")
+        assert not out.exists()
+
+    def test_augment_onto_an_existing_id_exits_one_without_output(self, tmp_path, capsys):
+        src = self._jsonl(tmp_path, [TextSample("a", "acqua", 1, "it"),
+                                     TextSample("a-bt", "water", 0, "en")])
+        out = tmp_path / "out.jsonl"
+        assert main(["prep", "augment", str(src), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: duplicate sample_id 'a-bt'\n"
+        assert not out.exists()
+
+    def test_write_samples_rejects_a_repeated_id_before_opening_the_file(self, tmp_path):
+        out = tmp_path / "new" / "out.jsonl"
+        samples = [TextSample(sid, "x", 0, "en") for sid in ("a", "b", "b")]
+        with pytest.raises(DataError, match=rf"^{re.escape(str(out))}: duplicate sample_id 'b'$"):
+            write_samples(samples, out)
+        assert not out.parent.exists()
+
     def test_parse_error_exits_one_with_line(self, tmp_path, capsys):
         src = tmp_path / "in.jsonl"
         src.write_text("nonsense\n", encoding="utf-8")
@@ -1160,6 +1209,31 @@ class TestInputEncoding:
         assert (tmp_path / "out-marked.jsonl").read_bytes() == \
             (tmp_path / "out-plain.jsonl").read_bytes()
         assert read_samples(tmp_path / "out-marked.jsonl")[0].text == "water"
+
+
+class TestWarnings:
+    def test_commands_on_the_bundled_corpus_raise_no_warning(self, tmp_path):
+        # Under -W error a warning, such as a numpy deprecation or a
+        # RuntimeWarning from the arithmetic, becomes an exception and exit 1.
+        data = tmp_path / "synthetic"
+        shutil.copytree(Path(__file__).resolve().parents[1] / "data" / "synthetic", data)
+        ids = [line.split(",")[0] for line in (data / "labels.csv").read_text().splitlines()[1:]]
+        write_samples([TextSample(sid, f"Post {sid} @user https://t.co/x!!", i % 2, "en")
+                       for i, sid in enumerate(ids)], data / "posts.jsonl")
+        models = [str(data / f"model_{name}.csv") for name in ("strong", "mid", "weak")]
+        labels = str(data / "labels.csv")
+        commands = [
+            ["compare", "--manifest", str(data / "manifest.json"), "--out", str(data / "c.csv")],
+            ["fuse", *(a for m in models for a in ("--scores", m)), "--labels", labels,
+             "--weights", "2,1,1", "--out", str(data / "fused.csv")],
+            ["evaluate", *(a for m in models for a in ("--scores", m)), "--labels", labels,
+             "--out", str(data / "e.csv")],
+            ["prep", "clean", str(data / "posts.jsonl"), "--out", str(data / "clean.jsonl")],
+        ]
+        for argv in commands:
+            run = subprocess.run([sys.executable, "-W", "error", "-m", "fusionopt", *argv],
+                                 env=_module_env(), capture_output=True, text=True, check=False)
+            assert run.returncode == 0, (argv[0], run.stderr)
 
 
 class TestUsage:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import fusionopt.fusion
 from fusionopt.errors import InvalidWeightsError
 from fusionopt.fusion import (
+    FusedScores,
     Predictions,
     WeightVector,
     _row_fsums,
@@ -202,15 +204,20 @@ class TestFuse:
         with pytest.raises(InvalidWeightsError, match="2 models"):
             fuse(ds, WeightVector(np.array([1.0])))
 
-    def test_unnormalized_weights_rejected(self):
+    def test_unnormalized_weights_fuse_as_their_exact_simplex(self):
         ds = random_dataset(np.random.default_rng(2), n_models=2, n_samples=4)
-        with pytest.raises(InvalidWeightsError, match="normalized"):
-            fuse(ds, WeightVector(np.array([1.0, 1.0])))
+        for raw in ([1.0, 3.0], [0.1, 0.7], [1e-300, 1e300]):
+            fused = fuse(ds, WeightVector(np.array(raw))).fused
+            expected = fuse(ds, WeightVector(exact_simplex(raw))).fused
+            np.testing.assert_array_equal(fused, expected)
+        np.testing.assert_array_equal(
+            fuse(ds, WeightVector(np.array([2.0, 6.0]))).fused,
+            0.25 * ds.stack[0] + 0.75 * ds.stack[1])
 
     def test_weights_whose_sum_overflows_rejected(self):
         ds = random_dataset(np.random.default_rng(2), n_models=2, n_samples=4)
-        with np.errstate(all="raise"), pytest.raises(
-                InvalidWeightsError, match=r"^fuse expects normalized weights; got sum inf$"):
+        message = r"^cannot normalize vector: its sum overflows float64$"
+        with np.errstate(all="raise"), pytest.raises(InvalidWeightsError, match=message):
             fuse(ds, WeightVector(np.array([1e308, 1e308])))
 
 
@@ -236,6 +243,29 @@ class TestPredict:
         with pytest.raises(InvalidWeightsError, match=r"^predictions must be nonnegative"):
             Predictions(("a", "b"), np.array([0, -1]))
         assert Predictions(("a",), [1.0]).predicted.tolist() == [1]
+
+
+@pytest.mark.parametrize("ids, fused, message", [
+    (("a",), [0.5, 0.5], "fused scores must be a 2-D table"),
+    (("a", "b"), [[0.5, 0.5]], "2 sample ids for 1 fused rows"),
+    (("a",), [[math.nan, 1.0]], "fused scores contain non-finite entries"),
+    (("a", "b"), [[0.5, 0.5], [0.25, 0.5]],
+     "fused row 1 sums to 0.75; convex combinations must stay on the simplex"),
+], ids=["1-D", "id-count", "non-finite", "row-sum"])
+def test_fused_scores_errors(ids, fused, message):
+    with pytest.raises(InvalidWeightsError, match=rf"^{re.escape(message)}$"):
+        FusedScores(ids, np.array(fused))
+
+
+@pytest.mark.parametrize("ids, predicted", [
+    (("a", "b"), [0]),
+    (("a",), [0, 1]),
+    (("a", "b"), [[0], [1]]),
+], ids=["short", "long", "2-D"])
+def test_predictions_need_one_class_index_per_sample(ids, predicted):
+    with pytest.raises(InvalidWeightsError,
+                       match=r"^predictions must be one class index per sample$"):
+        Predictions(ids, np.array(predicted))
 
 
 class TestFusionAlgebra:

@@ -234,18 +234,22 @@ def float64_oracle(data, raw):
     return 1.0 - float(np.mean(np.argmax(fused, axis=1) == data.y))
 
 
-def float64_margins(scorer, weights):
-    """Each rival's float64 fused score minus the true class's, shaped (K-1, N)."""
-    fused = combine(weights, scorer._classes)
-    return fused[1:] - fused[0]
+def float64_margins(data, weights):
+    """Each rival's float64 fused score minus the true class's, shaped (K-1, N).
+
+    Rivals come in ascending class order, as in the scorer's margin table.
+    """
+    fused = combine(weights, data.stack)
+    samples, rival = np.arange(len(data.y)), np.arange(data.num_classes - 1)[:, None]
+    return fused[samples, rival + (rival >= data.y)] - fused[samples, data.y]
 
 
 def counted_combine(monkeypatch):
-    """Patch the objective's ``combine`` to record the dtype and columns of each call."""
+    """Patch the objective's ``combine`` to record the dtype and samples of each call."""
     seen = []
 
     def counting(weights, stack):
-        seen.append((stack.dtype, stack.shape[-1]))
+        seen.append((stack.dtype, stack.shape[1]))
         return combine(weights, stack)
 
     monkeypatch.setattr(objective, "combine", counting)
@@ -275,7 +279,7 @@ class TestFloat32Screen:
 
     @pytest.mark.parametrize("offset", [2.0 ** -30, -2.0 ** -30, 2.0 ** -26, -2.0 ** -26])
     @pytest.mark.parametrize("rival", [0, 2])
-    def test_near_tie_reaches_the_float64_check_on_one_column(self, monkeypatch, rival,
+    def test_near_tie_reaches_the_float64_check_on_one_sample(self, monkeypatch, rival,
                                                               offset):
         # The rival sits a few float32 ulps or less off the true class 1, so
         # its margin lies inside +/-delta; the other two samples are far
@@ -315,7 +319,7 @@ class TestFloat32Screen:
         for _ in range(20):
             weights = exact_simplex(rng.random(n_models) + 1e-3)
             screen = (weights.astype(np.float32) @ scorer._margins).reshape(n_classes - 1, n)
-            assert np.abs(screen - float64_margins(scorer, weights)).max() <= delta
+            assert np.abs(screen - float64_margins(data, weights)).max() <= delta
 
     @pytest.mark.parametrize("n_models", [2, 5, 8])
     def test_any_summation_order_stays_within_delta(self, n_models):
@@ -338,23 +342,38 @@ class TestFloat32Screen:
             weights = exact_simplex(rng.random(n_models) + 1e-3)
             products = weights.astype(np.float32)[:, None] * scorer._margins
             assert products.dtype == np.float32
-            exact = float64_margins(scorer, weights)
+            exact = float64_margins(data, weights)
             for screen in (functools.reduce(np.add, products[::-1]), pairwise(products)):
                 screen = screen.reshape(n_classes - 1, n)
                 assert np.abs(screen - exact).max() <= scorer._delta
                 assert np.abs(screen.max(axis=0) - exact.max(axis=0)).max() <= scorer._delta
 
-    def test_calls_leave_every_table_read_only_and_unchanged(self):
+    def test_calls_leave_the_stack_and_every_table_read_only_and_unchanged(self):
         ds = tied_dataset(0, 3, 4)
         for variant in ("fused_accuracy", "score_mass"):
             scorer = objective._Scorer(ds, variant)
-            tables = (scorer._classes, scorer._margins, scorer._tie)
+            assert scorer._stack is ds.stack
+            tables = (ds.stack, scorer._true, scorer._margins)
             before = [table.copy() for table in tables]
             for raw in (np.ones(3), np.array([0.0, 2.0, 1.0]), np.array([0.2, 0.7, 0.1])):
                 scorer(raw)
             for table, copy in zip(tables, before):
                 assert not table.flags.writeable
                 assert np.array_equal(table, copy)
+
+    def test_keeps_no_copy_of_the_stack(self):
+        # Beside the dataset's stack, one true-class score per model and
+        # sample, and one float32 margin per model, rival and sample.
+        n_models, n, n_classes = 4, 500, 3
+        ds = random_dataset(np.random.default_rng(0), n_models=n_models, n_samples=n,
+                            n_classes=n_classes)
+        scorer = objective._Scorer(ds, "fused_accuracy")
+        assert scorer._true.shape == (n_models, 1, n)
+        # In C order the screen is one plain sgemv over the margin table.
+        assert scorer._true.flags.c_contiguous and scorer._margins.flags.c_contiguous
+        arrays = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays if a is not ds.stack and a is not ds.y) == (
+            n_models * n * 8 + n_models * (n_classes - 1) * n * 4)
 
 
 class TestConfusion:

@@ -410,6 +410,16 @@ class TestBruteForce:
                 assert result.best_error <= cumulative_error(ds, WeightVector(one_hot))
 
 
+@pytest.mark.parametrize("method", ["bf", "pso"])
+def test_tracker_with_only_all_zero_candidates_has_no_result(method):
+    tracker = EvaluationTracker(lambda raw: 0.5, 10)
+    for _ in range(3):
+        assert tracker.evaluate(np.zeros(3)) == 1.0
+    message = f"method '{method}' finished without evaluating any feasible candidate"
+    with pytest.raises(ConfigError, match=rf"^{message}$"):
+        tracker.result(method, 7)
+
+
 class TestTracker:
     def test_all_zero_candidates_are_scored_not_evaluated(self):
         def touchy(raw):

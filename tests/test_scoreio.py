@@ -16,6 +16,7 @@ from fusionopt.errors import ConfigError, DataError
 from fusionopt.objective import make_objective
 from fusionopt.scoreio import (
     MANIFEST_KEYS,
+    FusionDataset,
     LabelVector,
     ReportRow,
     ScoreMatrix,
@@ -242,6 +243,14 @@ class TestScoreMatrixInvariants:
                              raw / raw.sum(axis=1, keepdims=True))
         for row in matrix.scores:
             assert math.fsum(row.tolist()) == 1.0
+
+
+@pytest.mark.parametrize("split", ["train", "Validation", ""])
+def test_fusion_dataset_rejects_an_unknown_split(split):
+    ds = random_dataset(np.random.default_rng(0), n_models=1, n_samples=3)
+    message = f"split must be one of ('validation', 'test'), got {split!r}"
+    with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+        FusionDataset(ds.model_ids, ds.stack, ds.labels, split)
 
 
 class TestAlign:

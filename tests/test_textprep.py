@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,20 @@ class TestAugment:
         samples = _samples([0], lang="it")
         with pytest.raises(AugmentationError, match="t0"):
             augment_backtranslate(samples, broken, "it", "en")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"sample_id": "", "text": "x", "label": 0, "lang": "en"}\n',
+     "{path}:1: sample_id must be non-empty"),
+    ('\n{"sample_id": "a", "text": "x", "label": -1, "lang": "en"}\n',
+     "{path}:2: sample 'a': negative label"),
+    ("\n  \n\t\n", "{path}: no samples"),
+], ids=["empty-id", "negative-label", "blank-lines"])
+def test_read_samples_errors(tmp_path, text, message):
+    path = tmp_path / "samples.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=rf"^{re.escape(message.format(path=path))}$"):
+        read_samples(path)
 
 
 class TestSamplesIO:
