@@ -54,6 +54,7 @@ from .scoreio import (
     ReportRow,
     ScoreMatrix,
     align,
+    load_aligned,
     load_labels,
     load_manifest,
     load_manifest_splits,

@@ -10,27 +10,32 @@ compare    run the six-method comparison from a manifest; beside its report
 prep       clean / balance / augment a JSONL sample file
 
 Exit codes: 0 success, 1 domain error (validation or optimizer failure),
-2 I/O or usage error, or a search process that died without a result.
+2 I/O or usage error, out of memory, or a search, reader or formatter
+process that died without a result. Out of memory prints one ``error:``
+line that names the stage, such as reading a score file or allocating the
+(M, N, K) stack, whether it ran out here or in a forked reader.
+
+Work is forked through :mod:`fusionopt._fork`, on Linux with more than one
+usable CPU and from the main thread only: ``compare``'s searches (where
+OpenBLAS can be set to one thread), the score-file readers of ``compare``,
+``optimize`` and ``fuse``, and the formatters of every CSV of more than
+``scoreio._WRITE_ROWS`` rows. Outputs, messages and exit codes are the same
+with and without forking.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
-import logging
-import os
-import pickle
-import signal
 import sys
-import threading
-import traceback
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ._fork import forked, usable_cpus
 from .errors import FusionOptError, UsageError
 from .fusion import WeightVector, equal_weights, fuse, predict
 from .objective import OBJECTIVE_VARIANTS, check_variant, confusion, make_objective, metrics
@@ -41,6 +46,7 @@ from .scoreio import (
     ScoreMatrix,
     _number,
     align,
+    load_aligned,
     load_labels,
     load_manifest,
     load_manifest_splits,
@@ -70,10 +76,11 @@ def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
     the report's path ``out``.
 
     With more than one method, on Linux with more than one usable CPU and
-    numpy on OpenBLAS, each search runs in a forked process of its own, on
-    one OpenBLAS thread (:func:`_searches`); otherwise each runs here in
-    turn. Either way the outcomes are taken in ``methods`` order, so output,
-    errors and log records come out as from a serial run.
+    numpy on OpenBLAS, the first search runs here and each other in a forked
+    process of its own, all on one OpenBLAS thread (:func:`_searches`);
+    otherwise each runs here in turn. Either way the outcomes are taken in
+    ``methods`` order, so output, errors and log records come out as from a
+    serial run.
     Forking cannot change a bit: each search has its own evaluation tracker,
     draws only from its own counter-based ``rng_stream(seed, site)``, and
     reads the objective's tables without writing them. A child inherits the
@@ -137,36 +144,20 @@ def _openblas_threads() -> list:
     return controls
 
 
-def _terminate(signum, frame):
-    raise SystemExit(128 + signum)
-
-
 @contextmanager
 def _searches(objective, n_models, configs):
     """One call per config that returns its search's ``OptResult`` or raises its error.
 
-    In-process, a call runs the search. Forked, every search starts at once,
-    one child each, and a call waits for its child, replays the ``fusionopt``
-    log records the search emitted, then returns or raises as the search did.
-    A search whose process cannot be started (a process or descriptor limit)
-    runs in-process instead. On leaving, also through SIGTERM, any child
-    still running is killed, and every child is reaped. Forking leaves this
-    process's OpenBLAS on one thread.
+    With more than one search, more than one usable CPU and OpenBLAS that
+    can be set to one thread, every search but the first starts at once in
+    a forked child of its own, and the first runs here (:func:`_fork.forked`);
+    otherwise a call runs its search here. Forking leaves this process's
+    OpenBLAS on one thread.
     """
     searches = [partial(optimize, objective, n_models, config) for config in configs]
     # On one CPU the searches would only take turns, at a cost: a forked
     # large-compare pass took about a quarter longer than a serial one.
-    # SIGTERM's handler can be set only from the main thread.
-    forks = (len(configs) > 1 and sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
-             and threading.current_thread() is threading.main_thread())
-    blas = _openblas_threads() if forks else []
-    if not blas:
-        yield searches
-        return
-    # A buffer a child copied would be written twice if it were ever flushed.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children: dict[int, int] = {}  # pid -> read end of its pipe
+    blas = _openblas_threads() if len(searches) > 1 and usable_cpus() > 1 else []
     # The children inherit one OpenBLAS thread from here. Set in a child, or
     # set back here afterwards, the count would start a thread pool whose
     # idle thread spins for about a tenth of a second; so it is set once,
@@ -174,103 +165,9 @@ def _searches(objective, n_models, configs):
     for get_threads, set_threads in blas:
         if get_threads() != 1:
             set_threads(1)
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        calls = []
-        for search, config in zip(searches, configs):
-            try:
-                calls.append(_fork(search, config.method, children))
-            except OSError:
-                calls.extend(searches[len(calls):])
-                break
+    names = [f"method '{config.method}': search" for config in configs]
+    with forked(searches, names, len(searches) if blas else 1) as calls:
         yield calls
-    finally:
-        for pid, fd in children.items():
-            # A signal may have left a child reaped but still listed; its
-            # pid may since belong to another process.
-            with suppress(ChildProcessError):
-                if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            os.close(fd)
-        signal.signal(signal.SIGTERM, previous)
-
-
-class _Records(logging.Handler):
-    """Keeps each record, its message merged with its args so that it pickles."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        self.records.append(record)
-
-
-class _SearchTraceback(Exception):
-    """The traceback of an error raised in a search process, set as its cause."""
-
-    def __str__(self):
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _fork(search, method, children):
-    """Start ``search`` in a child; return the call that collects its outcome."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            handler = _Records()
-            package = logging.getLogger("fusionopt")
-            package.handlers, package.propagate = [handler], False
-            try:
-                outcome = search(), None, None
-            except BaseException as exc:  # the parent raises it
-                outcome = None, _portable(exc), traceback.format_exc()
-            with open(write_fd, "wb") as fh:
-                pickle.dump((*outcome, handler.records), fh)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    children[pid] = read_fd
-
-    def collect():
-        with open(read_fd, "rb", closefd=False) as fh:
-            data = fh.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        os.close(children.pop(pid))
-        if code or not data:
-            ended = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise ChildProcessError(
-                f"method '{method}': search process {ended} before it sent a result")
-        result, error, trace, records = pickle.loads(data)
-        for record in records:
-            logging.getLogger(record.name).handle(record)
-        if error is not None:
-            raise error from _SearchTraceback(trace)
-        # Pickling drops numpy's read-only flag.
-        result.best_weights.values.setflags(write=False)
-        return result
-
-    return collect
-
-
-def _portable(exc: BaseException) -> BaseException:
-    """``exc`` if a pickled copy of it loads, else a RuntimeError that names it."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"search raised {exc!r}, which cannot be pickled")
-    return exc
 
 
 def _print_row(row: ReportRow) -> None:
@@ -305,9 +202,7 @@ def _parse_weights(text: str) -> WeightVector:
 
 
 def cmd_fuse(args) -> int:
-    labels = load_labels(args.labels)
-    matrices = [load_scores(p) for p in args.scores]
-    dataset = align(matrices, labels)
+    dataset = load_aligned([(None, path) for path in args.scores], args.labels)
     fused = fuse(dataset, _parse_weights(args.weights))
     write_scores(ScoreMatrix("fused", fused.sample_ids, fused.fused), args.out)
     print(f"wrote fused scores for {dataset.num_samples} samples to {args.out}")
@@ -416,6 +311,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -149,6 +149,11 @@ class WeightVector:
     def __iter__(self):
         return iter(self.values)
 
+    def __reduce__(self):
+        # A copy loaded from a pickle, as a forked search sends it, is
+        # checked and made read-only like the original.
+        return WeightVector, (self.values,)
+
 
 @dataclass(frozen=True, eq=False)
 class FusedScores:

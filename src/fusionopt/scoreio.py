@@ -19,6 +19,12 @@ NUL or ASCII separator (0x1C-0x1F) takes numpy's C reader
 (``np.loadtxt``), whatever its line ends (LF, CRLF or CR). Any other
 file, and any file that reader rejects, is read by ``csv``, which also
 words every fault.
+
+:func:`load_aligned`, the loader of ``compare``, ``optimize`` and ``fuse``,
+reads the labels and then splits the score files between forked readers;
+a CSV of more than ``_WRITE_ROWS`` rows is formatted by forked formatters
+(:mod:`fusionopt._fork`). Both give the bytes, values and messages of one
+process.
 """
 
 from __future__ import annotations
@@ -30,10 +36,12 @@ import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
+from ._fork import forked, usable_cpus
 from .errors import ConfigError, DataError
 from .fusion import class_indices, exact_simplex_rows
 from .optimizers.common import DEFAULT_GRID_STEP
@@ -131,6 +139,11 @@ class LabelVector:
     def __len__(self) -> int:
         return int(self.labels.size)
 
+    @cached_property
+    def positions(self) -> dict:
+        """The position of each sample_id: the one id index of these labels."""
+        return {s: i for i, s in enumerate(self.sample_ids)}
+
 
 @dataclass(frozen=True, eq=False)
 class FusionDataset:
@@ -218,6 +231,13 @@ def _csv_field(text: str) -> str:
 _WRITE_ROWS = 4096  # rows formatted per write, so memory stays small for any N
 
 
+def _csv_block(columns, start: int) -> str:
+    """The CSV text of the ``_WRITE_ROWS`` rows of ``columns`` from row ``start``."""
+    block = [list(map(str, col[start:start + _WRITE_ROWS])) for col in columns]
+    block = [map(_csv_field, col) if _needs_quotes("".join(col)) else col for col in block]
+    return "\n".join(map(",".join, zip(*block))) + "\n"
+
+
 def _write_csv(path, header, columns) -> None:
     """Write ``header`` and the rows of ``columns`` as UTF-8 CSV; make the folder.
 
@@ -225,16 +245,20 @@ def _write_csv(path, header, columns) -> None:
     as ``str`` (``repr`` for a float), a field quoted, its quotes doubled,
     only if it holds a comma, a quote, an LF or a CR. Some Python versions'
     ``csv.writer`` leaves a lone CR unquoted, which does not read back.
+
+    The file is opened first. Its blocks of rows are then formatted by
+    forked formatters, at most one process per usable CPU, this one
+    included (:func:`_fork.forked`), and written here in order.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_csv_field, header)) + "\n")
-        for start in range(0, len(columns[0]) if columns else 0, _WRITE_ROWS):
-            block = [list(map(str, col[start:start + _WRITE_ROWS])) for col in columns]
-            block = [map(_csv_field, col) if _needs_quotes("".join(col)) else col
-                     for col in block]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+        starts = range(0, len(columns[0]) if columns else 0, _WRITE_ROWS)
+        with forked([partial(_csv_block, columns, start) for start in starts],
+                    [f"{path}: formatter"] * len(starts), usable_cpus()) as blocks:
+            for block in blocks:
+                fh.write(block())
 
 
 # Characters that keep a file from numpy's reader: csv's quote, NUL, and
@@ -460,64 +484,139 @@ def read_id_list(path) -> tuple[str, ...]:
     return tuple(ids)
 
 
+def _destination(matrix: ScoreMatrix, labels: LabelVector) -> np.ndarray | None:
+    """The labels' position of each of ``matrix``'s rows; None if they follow the labels.
+
+    Alignment is strict: a sample_id present in the labels but missing from
+    the matrix (or vice versa) is an error, never a silent intersection,
+    because dropped samples would silently change reported metrics. Ids are
+    unique on both sides, so with equal counts the lookup either places
+    every row or raises KeyError on an id the labels lack.
+    """
+    want = labels.sample_ids
+    if matrix.sample_ids == want:
+        return None
+    if matrix.num_samples == len(want):
+        try:
+            return np.fromiter(map(labels.positions.__getitem__, matrix.sample_ids),
+                               np.intp, len(want))
+        except KeyError:
+            pass
+    have = set(matrix.sample_ids)
+    missing = [s for s in want if s not in have]
+    if missing:
+        raise DataError(
+            f"model '{matrix.model_id}' is missing sample_id '{missing[0]}' present in "
+            f"the labels ({len(missing)} missing in total)"
+        )
+    extra = [s for s in matrix.sample_ids if s not in labels.positions]
+    raise DataError(
+        f"model '{matrix.model_id}' has sample_id '{extra[0]}' absent from the labels "
+        f"({len(extra)} extra in total)"
+    )
+
+
 def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDataset:
     """Stack every matrix in the labels' sample_id order.
 
-    Alignment is strict: a sample_id present in the labels but missing from
-    any matrix (or vice versa) is an error, never a silent intersection,
-    because dropped samples would silently change reported metrics. Rows
-    are only reordered here; :class:`ScoreMatrix` checked them on load.
+    Every matrix's ids are checked (:func:`_destination`) before the class
+    counts. Rows are only reordered here; :class:`ScoreMatrix` checked them
+    on load.
     """
     mats = tuple(matrices)
     if not mats:
         raise DataError("at least one score matrix is required")
-    want = labels.sample_ids
-    # Per matrix: None when its rows already follow the labels, else the
-    # row of each label id. Ids are unique on both sides, so with equal
-    # counts the lookup either succeeds or raises KeyError on a missing id.
-    orders = []
-    for m in mats:
-        if m.sample_ids == want:
-            orders.append(None)
-            continue
-        pos = {s: i for i, s in enumerate(m.sample_ids)}
-        if len(pos) == len(want):
-            try:
-                orders.append(np.fromiter(map(pos.__getitem__, want), np.intp, len(want)))
-                continue
-            except KeyError:
-                pass
-        missing = [s for s in want if s not in pos]
-        if missing:
-            raise DataError(
-                f"model '{m.model_id}' is missing sample_id '{missing[0]}' present in "
-                f"the labels ({len(missing)} missing in total)"
-            )
-        want_set = set(want)
-        extra = [s for s in m.sample_ids if s not in want_set]
-        raise DataError(
-            f"model '{m.model_id}' has sample_id '{extra[0]}' absent from the labels "
-            f"({len(extra)} extra in total)"
-        )
-    k = mats[0].num_classes
-    for m in mats:
-        if m.num_classes != k:
-            raise DataError(
-                f"model '{m.model_id}' has {m.num_classes} classes, "
-                f"model '{mats[0].model_id}' has {k}"
-            )
-    stack = np.empty((len(mats), len(want), k))
+    orders = [_destination(m, labels) for m in mats]
+    _check_classes([m.model_id for m in mats], [m.num_classes for m in mats])
+    stack = np.empty((len(mats), len(labels), mats[0].num_classes))
     for table, m, order in zip(stack, mats, orders):
-        table[...] = m.scores if order is None else m.scores[order]
+        table[... if order is None else order] = m.scores
     return FusionDataset(tuple(m.model_id for m in mats), stack, labels, split)
+
+
+def _check_classes(model_ids, counts) -> None:
+    for model_id, k in zip(model_ids, counts):
+        if k != counts[0]:
+            raise DataError(
+                f"model '{model_id}' has {k} classes, model '{model_ids[0]}' has {counts[0]}")
+
+
+@contextmanager
+def _out_of_memory(stage: str):
+    """Restate a MemoryError raised inside as one line that names ``stage``."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"out of memory {stage}" + (f": {exc}" if str(exc) else "")) from None
+
+
+def _rows_in_label_order(path: Path, model_id: str, labels: LabelVector):
+    """One score file's rows in the labels' order, or the DataError its ids raise.
+
+    The file is read by :func:`load_scores`, which raises its own faults.
+    Its ids are dropped on return, so only the float rows leave a reader.
+    """
+    with _out_of_memory(f"reading {path}"):
+        matrix = load_scores(path, model_id)
+        try:
+            order = _destination(matrix, labels)
+        except DataError as exc:
+            return exc
+        if order is None:
+            return matrix.scores
+        rows = np.empty(matrix.scores.shape)
+        rows[order] = matrix.scores
+        return rows
+
+
+def load_aligned(models, labels_path, split: str = "validation") -> FusionDataset:
+    """Read the labels, then each score file straight into its slot of the stack.
+
+    ``models`` holds ``(model_id, path)`` pairs; a None model id is the
+    file's stem, as in :func:`load_scores`. The labels' id index is built
+    once, here. The score files are then split between forked readers, at
+    most one process per usable CPU, this one included
+    (:func:`_fork.forked`). Each reader runs :func:`load_scores` on its files
+    in turn and places each file's rows in label order; only those rows
+    cross back, and this process copies them into the (M, N, K) stack.
+
+    The fault reported is the one :func:`load_labels`, then
+    :func:`load_scores` on each file in order, then :func:`align` would
+    raise: a repeated, missing or extra id in model order, then a class
+    count that differs from the first model's.
+    """
+    labels = load_labels(labels_path)
+    models = [(Path(path).stem if mid is None else mid, Path(path)) for mid, path in models]
+    if not models:
+        raise DataError("at least one score matrix is required")
+    labels.positions  # built before the readers fork, so they share it
+    readers = [partial(_rows_in_label_order, path, mid, labels) for mid, path in models]
+    stack, faults, counts = None, [], []
+    with forked(readers, [f"{path}: reader" for _, path in models], usable_cpus()) as calls:
+        for slot, call in enumerate(calls):
+            rows = call()
+            if isinstance(rows, DataError):
+                faults.append(rows)
+                continue
+            counts.append(rows.shape[1])
+            if stack is None:
+                shape = (len(models), len(labels), counts[0])
+                with _out_of_memory(f"allocating the (M, N, K) = {shape} score stack"):
+                    stack = np.empty(shape)
+            if counts[-1] == counts[0]:
+                stack[slot] = rows
+    if faults:
+        raise faults[0]
+    _check_classes([mid for mid, _ in models], counts)
+    return FusionDataset(tuple(mid for mid, _ in models), stack, labels, split)
 
 
 def subset(dataset: FusionDataset, sample_ids, split: str) -> FusionDataset:
     """Restrict an aligned dataset to ``sample_ids`` as ``split``; its labels check the ids."""
     wanted = tuple(sample_ids)
-    pos = {s: i for i, s in enumerate(dataset.sample_ids)}
     try:
-        perm = np.fromiter(map(pos.__getitem__, wanted), np.intp, len(wanted))
+        perm = np.fromiter(map(dataset.labels.positions.__getitem__, wanted), np.intp,
+                           len(wanted))
     except KeyError as exc:
         raise DataError(f"sample_id {exc.args[0]!r} not present in the dataset") from None
     return FusionDataset(dataset.model_ids, np.take(dataset.stack, perm, axis=1),
@@ -612,9 +711,7 @@ def load_manifest_splits(manifest: Manifest) -> tuple[FusionDataset, FusionDatas
     the test split is the validation dataset re-tagged ``"test"``, sharing
     its stack, and a warning says that test metrics are not held out.
     """
-    matrices = [load_scores(path, model_id=mid) for mid, path in manifest.models]
-    labels = load_labels(manifest.labels_path)
-    full = validation = align(matrices, labels, split="validation")
+    full = validation = load_aligned(manifest.models, manifest.labels_path)
     rest = ()
     if manifest.validation_ids_path is not None:
         val_ids = read_id_list(manifest.validation_ids_path)

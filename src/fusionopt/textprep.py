@@ -159,9 +159,9 @@ def augment_backtranslate(
 
 
 def read_samples(path) -> list[TextSample]:
-    """Read JSONL samples, reporting the offending line on parse errors and repeated ids."""
+    """Read JSONL samples, reporting the first offending line: a parse error or a repeated id."""
     path = Path(path)
-    samples, linenos = [], []
+    samples, seen = [], {}  # sample_id -> its line
     with open_input(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     for lineno, line in enumerate(lines, start=1):
@@ -178,24 +178,21 @@ def read_samples(path) -> list[TextSample]:
         if not isinstance(obj["label"], int) or isinstance(obj["label"], bool):
             raise DataError(f"{path}:{lineno}: label must be an integer")
         try:
-            samples.append(
-                TextSample(
-                    sample_id=str(obj["sample_id"]),
-                    text=str(obj["text"]),
-                    label=obj["label"],
-                    language=str(obj["lang"]),
-                )
+            sample = TextSample(
+                sample_id=str(obj["sample_id"]),
+                text=str(obj["text"]),
+                label=obj["label"],
+                language=str(obj["lang"]),
             )
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        linenos.append(lineno)
+        first = seen.setdefault(sample.sample_id, lineno)
+        if first != lineno:
+            raise DataError(f"{path}:{lineno}: duplicate sample_id '{sample.sample_id}' "
+                            f"(first seen at line {first})")
+        samples.append(sample)
     if not samples:
         raise DataError(f"{path}: no samples")
-    repeat = _first_repeat([s.sample_id for s in samples])
-    if repeat is not None:
-        i, first = repeat
-        raise DataError(f"{path}:{linenos[i]}: duplicate sample_id '{samples[i].sample_id}' "
-                        f"(first seen at line {linenos[first]})")
     return samples
 
 

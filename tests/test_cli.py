@@ -585,6 +585,36 @@ def _count_forks(monkeypatch):
     return forks
 
 
+def _search_pids(monkeypatch, tmp_path):
+    """Record the process each search runs in; returns a call that reads ``{method: pid}``.
+
+    A forked search cannot append to a list here, so each appends a line to
+    a file.
+    """
+    record, real = tmp_path / "search-pids.txt", cli.optimize
+
+    def optimize(objective, n_models, config):
+        with open(record, "a", encoding="utf-8") as fh:
+            fh.write(f"{config.method} {os.getpid()}\n")
+        return real(objective, n_models, config)
+
+    monkeypatch.setattr(cli, "optimize", optimize)
+
+    def read():
+        lines = record.read_text(encoding="utf-8").split() if record.exists() else []
+        record.unlink(missing_ok=True)
+        return {method: int(pid) for method, pid in zip(lines[::2], lines[1::2])}
+
+    return read
+
+
+def _in_children(pids) -> list:
+    """The methods whose searches ran in a process other than this one, each in its own."""
+    children = [m for m in COMPARISON_ORDER if m in pids and pids[m] != os.getpid()]
+    assert len({pids[m] for m in children}) == len(children)
+    return children
+
+
 def _compare_outputs(main_argv, out, capsys):
     code = main(main_argv)
     captured = capsys.readouterr()
@@ -613,35 +643,37 @@ class TestForkedSearches:
                                 n_classes=3)
             manifest = _write_corpus(tmp_path / "corpus", ds,
                                      validation_ids=list(ds.sample_ids[:100]))
-        forks = _count_forks(monkeypatch)
+        pids = _search_pids(monkeypatch, tmp_path)
         runs = []
-        for cpus in (2, 1):
+        for cpus, forked in ((2, list(COMPARISON_ORDER[1:])), (1, [])):
             _cpus(monkeypatch, cpus)
             out = tmp_path / f"cpus{cpus}" / "cmp.csv"
             out.parent.mkdir()
             runs.append(_compare_outputs(
                 ["compare", "--manifest", str(manifest), "--out", str(out)], out, capsys))
-            assert len(forks) == 6
+            ran = pids()
+            assert sorted(ran) == sorted(COMPARISON_ORDER)
+            assert _in_children(ran) == forked
         assert runs[0][0] == 0
         assert len(runs[0][3]) == 7
         assert runs[0] == runs[1]
         assert _no_children_left()
 
     def test_optimize_runs_its_one_search_in_process(self, tmp_path, capsys, monkeypatch):
-        forks = _count_forks(monkeypatch)
+        pids = _search_pids(monkeypatch, tmp_path)
         _cpus(monkeypatch, 2)
         assert main(["optimize", "--manifest", str(BUNDLED_MANIFEST),
                      "--out", str(tmp_path / "r.csv")]) == 0
-        assert forks == []
+        assert pids() == {"bf": os.getpid()}
 
     def test_compare_runs_in_process_where_blas_threads_cannot_be_set(
             self, tmp_path, capsys, monkeypatch):
-        forks = _count_forks(monkeypatch)
+        pids = _search_pids(monkeypatch, tmp_path)
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(cli, "_openblas_threads", lambda: [])
         assert main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                      "--out", str(tmp_path / "r.csv")]) == 0
-        assert forks == []
+        assert pids() == dict.fromkeys(COMPARISON_ORDER, os.getpid())
 
     def test_a_returned_result_keeps_read_only_weights(self, tmp_path, monkeypatch):
         from fusionopt.objective import make_objective
@@ -864,6 +896,48 @@ class TestForkedSearches:
             os.kill(search, 0)
         assert not (tmp_path / "out").exists()
 
+    def test_sigterm_to_another_thread_kills_the_running_searches(self, tmp_path):
+        # A signal that reaches another thread, such as an OpenBLAS worker,
+        # runs its handler only once the main thread is back in the
+        # interpreter; waiting on a search's pipe must not keep it away.
+        program = (
+            "import os, signal, sys, threading, time\n"
+            "import fusionopt.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "real = cli.optimize\n"
+            "def optimize(objective, n_models, config):\n"
+            "    if config.method == 'pso':\n"
+            "        open(sys.argv[1], 'w').write(str(os.getpid()))\n"
+            "        time.sleep(60)\n"
+            "    return real(objective, n_models, config)\n"
+            "cli.optimize = optimize\n"
+            "def helper():\n"
+            "    while not os.path.exists(sys.argv[1]) or not open(sys.argv[1]).read():\n"
+            "        time.sleep(0.05)\n"
+            "    time.sleep(1)  # so that the main thread waits on pso's pipe\n"
+            "    signal.pthread_kill(threading.get_ident(), signal.SIGTERM)\n"
+            "threading.Thread(target=helper, daemon=True).start()\n"
+            "raise SystemExit(cli.main(sys.argv[2:]))\n"
+        )
+        pid_file = tmp_path / "pso.pid"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", program, str(pid_file), "compare",
+             "--manifest", str(BUNDLED_MANIFEST), "--out", str(tmp_path / "out" / "cmp.csv")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env())
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists() or not pid_file.read_text():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            search = int(pid_file.read_text())
+            assert proc.wait(timeout=10) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()
+            proc.communicate()
+        with pytest.raises(ProcessLookupError):
+            os.kill(search, 0)
+        assert not (tmp_path / "out").exists()
+
     def test_sigterm_handler_is_restored(self, tmp_path, capsys, monkeypatch):
         _cpus(monkeypatch, 2)
 
@@ -878,10 +952,13 @@ class TestForkedSearches:
         finally:
             signal.signal(signal.SIGTERM, before)
 
-    @pytest.mark.parametrize("call, failing", [("fork", 1), ("fork", 3), ("pipe", 1)],
-                             ids=["first-fork", "third-fork", "first-pipe"])
+    # The bundled corpus's three score files take one reader fork and pipe
+    # first; the second fork or pipe is the first search's.
+    @pytest.mark.parametrize("call, failing, forked", [
+        ("fork", 2, []), ("fork", 4, ["pso", "ga"]), ("pipe", 2, [])],
+        ids=["first-search-fork", "third-search-fork", "first-search-pipe"])
     def test_searches_that_cannot_fork_run_in_process(self, tmp_path, capsys, monkeypatch,
-                                                      call, failing):
+                                                      call, failing, forked):
         # A process or descriptor limit makes fork or pipe fail with EAGAIN
         # or EMFILE; the searches not yet started then run in the parent.
         out = tmp_path / "in-process" / "cmp.csv"
@@ -890,7 +967,7 @@ class TestForkedSearches:
         expected = _compare_outputs(
             ["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)], out, capsys)
         _cpus(monkeypatch, 2)
-        forks = _count_forks(monkeypatch)
+        pids = _search_pids(monkeypatch, tmp_path)
         calls, real = [], getattr(os, call)
 
         def limited():
@@ -907,7 +984,7 @@ class TestForkedSearches:
             ["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)], out, capsys)
         assert got == expected
         assert sorted(os.listdir("/proc/self/fd")) == descriptors
-        assert len(forks) == (failing - 1 if call == "fork" else 0)
+        assert _in_children(pids()) == forked
         assert _no_children_left()
 
     def test_compare_from_another_thread_runs_in_process(self, tmp_path, capsys, monkeypatch):
@@ -975,7 +1052,7 @@ class TestForkedSearches:
             main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                   "--out", str(tmp_path / "cmp.csv")])
         assert str(info.value) == (
-            "search raised Local('not importable'), which cannot be pickled")
+            "method 'ga': search raised Local('not importable'), which cannot be pickled")
         assert "in ga\n    raise Local" in str(info.value.__cause__)
         assert not (tmp_path / "cmp.csv").exists()
         assert _no_children_left()

@@ -926,8 +926,13 @@ class TestLoadManifestSplits:
         assert test.sample_ids == ds.sample_ids[4:]
         assert not np.shares_memory(test.stack, validation.stack)
 
-    def test_each_score_row_is_checked_once(self, tmp_path, monkeypatch):
+    # On two CPUs a forked reader builds some of the matrices, so each build
+    # is recorded in a file rather than in a list of this process.
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_score_row_is_checked_once(self, tmp_path, monkeypatch, cpus):
         import json
+        import os
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, n_models=3, n_samples=12)
         for j, matrix in enumerate(ds.matrices):
@@ -942,13 +947,18 @@ class TestLoadManifestSplits:
                 "method": "equal", "output": "report.csv"}
         manifest = load_manifest(_write(tmp_path, "manifest.json", json.dumps(body)))
 
-        built = []
+        built = tmp_path / "built.txt"
         post_init = ScoreMatrix.__post_init__
-        monkeypatch.setattr(ScoreMatrix, "__post_init__",
-                            lambda self: built.append(self.model_id) or post_init(self))
+
+        def record(self):
+            with open(built, "a", encoding="utf-8") as fh:
+                fh.write(self.model_id + "\n")
+            post_init(self)
+
+        monkeypatch.setattr(ScoreMatrix, "__post_init__", record)
         validation, test = load_manifest_splits(manifest)
         monkeypatch.undo()
-        assert built == ["m0", "m1", "m2"]
+        assert sorted(built.read_text(encoding="utf-8").split()) == ["m0", "m1", "m2"]
 
         full = align([load_scores(tmp_path / f"m{j}.csv") for j in range(3)], ds.labels)
         np.testing.assert_array_equal(full.stack, ds.stack)

@@ -210,7 +210,12 @@ class TestAugment:
     ('\n{"sample_id": "a", "text": "x", "label": -1, "lang": "en"}\n',
      "{path}:2: sample 'a': negative label"),
     ("\n  \n\t\n", "{path}: no samples"),
-], ids=["empty-id", "negative-label", "blank-lines"])
+    # A repeated id at line 3 comes before invalid JSON at line 5, as the
+    # CSV readers report the first fault by line.
+    ('{"sample_id": "a", "text": "x", "label": 0, "lang": "en"}\n\n'
+     '{"sample_id": "a", "text": "y", "label": 1, "lang": "en"}\n\nnot json\n',
+     "{path}:3: duplicate sample_id 'a' (first seen at line 1)"),
+], ids=["empty-id", "negative-label", "blank-lines", "repeat-before-bad-json"])
 def test_read_samples_errors(tmp_path, text, message):
     path = tmp_path / "samples.jsonl"
     path.write_text(text, encoding="utf-8")
