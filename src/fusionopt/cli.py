@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -144,9 +143,8 @@ def _openblas_threads() -> list:
     return controls
 
 
-@contextmanager
 def _searches(objective, n_models, configs):
-    """One call per config that returns its search's ``OptResult`` or raises its error.
+    """A context of one call per config that returns its search's ``OptResult`` or raises.
 
     With more than one search, more than one usable CPU and OpenBLAS that
     can be set to one thread, every search but the first starts at once in
@@ -166,8 +164,7 @@ def _searches(objective, n_models, configs):
         if get_threads() != 1:
             set_threads(1)
     names = [f"method '{config.method}': search" for config in configs]
-    with forked(searches, names, len(searches) if blas else 1) as calls:
-        yield calls
+    return forked(searches, names, len(searches) if blas else 1)
 
 
 def _print_row(row: ReportRow) -> None:

@@ -15,7 +15,6 @@ readings of cumulative accuracy are exposed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -162,28 +161,30 @@ def _screen_width(stack) -> np.float32:
 
 
 class _Scorer:
-    """Cumulative accuracy of raw weight vectors on one validation split.
+    """Validation error and accuracy of raw weight vectors on one split.
 
-    It keeps a reference to the dataset's read-only (M, N, K) stack and its
-    labels, and builds two tables: each sample's true-class score, of shape
-    (M, 1, N), which ``score_mass`` fuses, and a float32 margin table.
-    :func:`fusion.combine` sums in model order whatever the layout, so the
-    fused values are :func:`fusion.fuse`'s bit for bit.
+    A call gives the error, ``1.0 - accuracy(raw)``, which optimizers
+    minimize. The variant's method is chosen once, on construction, and
+    each variant keeps only the table it reads, read-only; a call writes
+    only to its own buffers. :func:`fusion.combine` sums in model order
+    whatever the layout, so the fused values are :func:`fusion.fuse`'s bit
+    for bit.
 
-    ``fused_accuracy`` first screens every sample in float32 on the margin
-    table, of shape (M, (K-1)*N): each rival's score minus the true score,
-    rivals in ascending class order, subtracted in float64 and rounded to
-    float32. One matrix-vector product of the float32-rounded weights with
-    it (a BLAS ``sgemv``) gives every rival's margin, and the largest over
-    the rivals is the sample's. Beyond ``+/-delta`` (see
+    ``score_mass`` fuses each sample's true-class score, of shape (M, 1, N).
+    ``fused_accuracy`` keeps a reference to the dataset's read-only
+    (M, N, K) stack and its labels, and screens every sample in float32 on
+    a margin table of shape (M, (K-1)*N): each rival's score minus the true
+    score, rivals in ascending class order, subtracted in float64 and
+    rounded to float32. One matrix-vector product of the float32-rounded
+    weights with it (a BLAS ``sgemv``) gives every rival's margin, and the
+    largest over the rivals is the sample's. Beyond ``+/-delta`` (see
     :func:`_screen_width`, whose bound holds in any summation order) a
     float32 margin has the float64 margin's sign, so a sample above
     ``delta`` has a rival above its true class and is wrong, and one below
     ``-delta`` has its true class above every rival and is right. Only the
     samples in between, near a tie, are fused in float64 and judged by
     :func:`fusion.predict`'s rule, the argmax with ties going to the lowest
-    class, so the count is that rule's exactly. The tables are read-only;
-    a call writes only to its own buffers.
+    class, so the count is that rule's exactly.
     """
 
     def __init__(self, dataset, variant: str):
@@ -193,21 +194,35 @@ class _Scorer:
                 f"the objective is defined on the validation split, got '{dataset.split}'"
             )
         y, stack = dataset.y, dataset.stack
-        self._variant, self._stack, self._y = variant, stack, y
-        rival = np.arange(dataset.num_classes - 1)[:, None]
         by_class = stack.transpose(0, 2, 1)  # (M, K, N); the tables come out in C order
-        self._true = np.take_along_axis(by_class, y[None, None], axis=1)
+        true = np.take_along_axis(by_class, y[None, None], axis=1)
+        if variant == "score_mass":
+            true.setflags(write=False)
+            self._true = true
+            # Not a bound method: that would be a cycle, freed only when gc runs.
+            self._accuracy = _Scorer._score_mass
+            return
+        self._stack, self._y = stack, y
+        rival = np.arange(dataset.num_classes - 1)[:, None]
         margins = np.take_along_axis(by_class, (rival + (rival >= y))[None], axis=1)
-        margins -= self._true
+        margins -= true
         self._margins = margins.astype(np.float32).reshape(len(margins), -1)
+        self._margins.setflags(write=False)
         self._delta = _screen_width(stack)
-        for table in (self._true, self._margins):
-            table.setflags(write=False)
+        self._accuracy = _Scorer._fused_accuracy
 
     def __call__(self, raw) -> float:
+        return 1.0 - self._accuracy(self, raw)
+
+    def accuracy(self, raw) -> float:
+        """The variant's accuracy of the raw weight vector ``raw``."""
+        return self._accuracy(self, raw)
+
+    def _score_mass(self, raw) -> float:
+        return float(np.mean(combine(exact_simplex(raw), self._true)[0]))
+
+    def _fused_accuracy(self, raw) -> float:
         weights = exact_simplex(raw)
-        if self._variant == "score_mass":
-            return float(np.mean(combine(weights, self._true)[0]))
         check_weight_count(weights, len(self._margins))
         screen = weights.astype(np.float32) @ self._margins
         margin = screen.reshape(-1, len(self._y)).max(axis=0)
@@ -225,19 +240,14 @@ def cumulative_accuracy(dataset, weights: WeightVector, variant: str = "fused_ac
     Weights are normalized here, so any positive scaling of the raw vector
     scores identically under ``fused_accuracy``.
     """
-    return _Scorer(dataset, variant)(weights.values)
+    return _Scorer(dataset, variant).accuracy(weights.values)
 
 
 def cumulative_error(dataset, weights: WeightVector, variant: str = "fused_accuracy") -> float:
     """One minus the cumulative accuracy; the quantity optimizers minimize."""
-    return 1.0 - cumulative_accuracy(dataset, weights, variant)
+    return _Scorer(dataset, variant)(weights.values)
 
 
-def make_objective(dataset, variant: str = "fused_accuracy") -> Callable[[np.ndarray], float]:
-    """Bind a dataset and variant into a raw-vector objective for optimizers."""
-    scorer = _Scorer(dataset, variant)
-
-    def objective(raw: np.ndarray) -> float:
-        return 1.0 - scorer(raw)
-
-    return objective
+def make_objective(dataset, variant: str = "fused_accuracy") -> _Scorer:
+    """The scorer of ``variant`` on ``dataset``: called on a raw vector, it gives the error."""
+    return _Scorer(dataset, variant)

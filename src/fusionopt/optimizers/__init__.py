@@ -48,7 +48,8 @@ def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
     """Run the configured method on ``objective`` over M raw weights.
 
     ``objective`` maps a raw nonnegative weight vector to an error in [0, 1]
-    and must normalize internally (see :func:`fusionopt.objective.make_objective`).
+    and must normalize internally, as the scorer that
+    :func:`fusionopt.objective.make_objective` returns does.
     A search the budget cuts off keeps its best candidate so far and logs a
     warning, so it cannot pass for a finished one.
     """

@@ -484,8 +484,8 @@ def read_id_list(path) -> tuple[str, ...]:
     return tuple(ids)
 
 
-def _destination(matrix: ScoreMatrix, labels: LabelVector) -> np.ndarray | None:
-    """The labels' position of each of ``matrix``'s rows; None if they follow the labels.
+def _in_label_order(matrix: ScoreMatrix, labels: LabelVector):
+    """``matrix``'s rows in the labels' order, or the DataError its ids raise.
 
     Alignment is strict: a sample_id present in the labels but missing from
     the matrix (or vice versa) is an error, never a silent intersection,
@@ -495,50 +495,39 @@ def _destination(matrix: ScoreMatrix, labels: LabelVector) -> np.ndarray | None:
     """
     want = labels.sample_ids
     if matrix.sample_ids == want:
-        return None
+        return matrix.scores
     if matrix.num_samples == len(want):
         try:
-            return np.fromiter(map(labels.positions.__getitem__, matrix.sample_ids),
-                               np.intp, len(want))
+            order = np.fromiter(map(labels.positions.__getitem__, matrix.sample_ids),
+                                np.intp, len(want))
         except KeyError:
             pass
+        else:
+            rows = np.empty(matrix.scores.shape)
+            rows[order] = matrix.scores
+            return rows
     have = set(matrix.sample_ids)
     missing = [s for s in want if s not in have]
     if missing:
-        raise DataError(
+        return DataError(
             f"model '{matrix.model_id}' is missing sample_id '{missing[0]}' present in "
             f"the labels ({len(missing)} missing in total)"
         )
     extra = [s for s in matrix.sample_ids if s not in labels.positions]
-    raise DataError(
+    return DataError(
         f"model '{matrix.model_id}' has sample_id '{extra[0]}' absent from the labels "
         f"({len(extra)} extra in total)"
     )
 
 
 def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDataset:
-    """Stack every matrix in the labels' sample_id order.
+    """Stack every matrix in the labels' sample_id order (:func:`_stacked`).
 
-    Every matrix's ids are checked (:func:`_destination`) before the class
-    counts. Rows are only reordered here; :class:`ScoreMatrix` checked them
-    on load.
+    Rows are only reordered here; :class:`ScoreMatrix` checked them on load.
     """
     mats = tuple(matrices)
-    if not mats:
-        raise DataError("at least one score matrix is required")
-    orders = [_destination(m, labels) for m in mats]
-    _check_classes([m.model_id for m in mats], [m.num_classes for m in mats])
-    stack = np.empty((len(mats), len(labels), mats[0].num_classes))
-    for table, m, order in zip(stack, mats, orders):
-        table[... if order is None else order] = m.scores
-    return FusionDataset(tuple(m.model_id for m in mats), stack, labels, split)
-
-
-def _check_classes(model_ids, counts) -> None:
-    for model_id, k in zip(model_ids, counts):
-        if k != counts[0]:
-            raise DataError(
-                f"model '{model_id}' has {k} classes, model '{model_ids[0]}' has {counts[0]}")
+    return _stacked([m.model_id for m in mats],
+                    [partial(_in_label_order, m, labels) for m in mats], labels, split)
 
 
 @contextmanager
@@ -550,23 +539,45 @@ def _out_of_memory(stage: str):
         raise MemoryError(f"out of memory {stage}" + (f": {exc}" if str(exc) else "")) from None
 
 
-def _rows_in_label_order(path: Path, model_id: str, labels: LabelVector):
+def _stacked(model_ids, calls, labels: LabelVector, split: str) -> FusionDataset:
+    """The (M, N, K) stack of each model's rows, as ``calls[m]()`` gives them in label order.
+
+    A call returns its model's rows or the DataError its ids raise. The
+    fault reported is the first such error in model order, then a class
+    count that differs from the first model's.
+    """
+    if not model_ids:
+        raise DataError("at least one score matrix is required")
+    stack, faults, counts = None, [], []
+    for slot, call in enumerate(calls):
+        rows = call()
+        if isinstance(rows, DataError):
+            faults.append(rows)
+            continue
+        counts.append(rows.shape[1])
+        if stack is None:
+            shape = (len(model_ids), len(labels), counts[0])
+            with _out_of_memory(f"allocating the (M, N, K) = {shape} score stack"):
+                stack = np.empty(shape)
+        if counts[-1] == counts[0]:
+            stack[slot] = rows
+    if faults:
+        raise faults[0]
+    for model_id, k in zip(model_ids, counts):
+        if k != counts[0]:
+            raise DataError(
+                f"model '{model_id}' has {k} classes, model '{model_ids[0]}' has {counts[0]}")
+    return FusionDataset(tuple(model_ids), stack, labels, split)
+
+
+def _read_in_label_order(path: Path, model_id: str, labels: LabelVector):
     """One score file's rows in the labels' order, or the DataError its ids raise.
 
     The file is read by :func:`load_scores`, which raises its own faults.
     Its ids are dropped on return, so only the float rows leave a reader.
     """
     with _out_of_memory(f"reading {path}"):
-        matrix = load_scores(path, model_id)
-        try:
-            order = _destination(matrix, labels)
-        except DataError as exc:
-            return exc
-        if order is None:
-            return matrix.scores
-        rows = np.empty(matrix.scores.shape)
-        rows[order] = matrix.scores
-        return rows
+        return _in_label_order(load_scores(path, model_id), labels)
 
 
 def load_aligned(models, labels_path, split: str = "validation") -> FusionDataset:
@@ -582,33 +593,14 @@ def load_aligned(models, labels_path, split: str = "validation") -> FusionDatase
 
     The fault reported is the one :func:`load_labels`, then
     :func:`load_scores` on each file in order, then :func:`align` would
-    raise: a repeated, missing or extra id in model order, then a class
-    count that differs from the first model's.
+    raise.
     """
     labels = load_labels(labels_path)
     models = [(Path(path).stem if mid is None else mid, Path(path)) for mid, path in models]
-    if not models:
-        raise DataError("at least one score matrix is required")
     labels.positions  # built before the readers fork, so they share it
-    readers = [partial(_rows_in_label_order, path, mid, labels) for mid, path in models]
-    stack, faults, counts = None, [], []
+    readers = [partial(_read_in_label_order, path, mid, labels) for mid, path in models]
     with forked(readers, [f"{path}: reader" for _, path in models], usable_cpus()) as calls:
-        for slot, call in enumerate(calls):
-            rows = call()
-            if isinstance(rows, DataError):
-                faults.append(rows)
-                continue
-            counts.append(rows.shape[1])
-            if stack is None:
-                shape = (len(models), len(labels), counts[0])
-                with _out_of_memory(f"allocating the (M, N, K) = {shape} score stack"):
-                    stack = np.empty(shape)
-            if counts[-1] == counts[0]:
-                stack[slot] = rows
-    if faults:
-        raise faults[0]
-    _check_classes([mid for mid, _ in models], counts)
-    return FusionDataset(tuple(mid for mid, _ in models), stack, labels, split)
+        return _stacked([mid for mid, _ in models], calls, labels, split)
 
 
 def subset(dataset: FusionDataset, sample_ids, split: str) -> FusionDataset:

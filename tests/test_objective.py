@@ -1,4 +1,5 @@
 import functools
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,10 +137,14 @@ class TestCumulativeAccuracy:
                             n_samples=int(rng.integers(1, 25)),
                             n_classes=int(rng.integers(2, 4)))
         raw = rng.random(ds.num_models) + 1e-6
-        variant = "fused_accuracy" if rng.random() < 0.5 else "score_mass"
-        a = cumulative_accuracy(ds, WeightVector(raw), variant)
-        e = cumulative_error(ds, WeightVector(raw), variant)
-        assert abs(e + a - 1.0) <= 1e-15
+        for variant in ("fused_accuracy", "score_mass"):
+            a = cumulative_accuracy(ds, WeightVector(raw), variant)
+            e = cumulative_error(ds, WeightVector(raw), variant)
+            assert abs(e + a - 1.0) <= 1e-15
+            # The objective is the scorer that both functions call, bit for bit.
+            scorer = make_objective(ds, variant)
+            assert type(scorer) is objective._Scorer
+            assert scorer(raw) == e and scorer.accuracy(raw) == a
 
 
 TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
@@ -348,32 +353,51 @@ class TestFloat32Screen:
                 assert np.abs(screen - exact).max() <= scorer._delta
                 assert np.abs(screen.max(axis=0) - exact.max(axis=0)).max() <= scorer._delta
 
-    def test_calls_leave_the_stack_and_every_table_read_only_and_unchanged(self):
-        ds = tied_dataset(0, 3, 4)
-        for variant in ("fused_accuracy", "score_mass"):
-            scorer = objective._Scorer(ds, variant)
-            assert scorer._stack is ds.stack
-            tables = (ds.stack, scorer._true, scorer._margins)
-            before = [table.copy() for table in tables]
-            for raw in (np.ones(3), np.array([0.0, 2.0, 1.0]), np.array([0.2, 0.7, 0.1])):
-                scorer(raw)
-            for table, copy in zip(tables, before):
-                assert not table.flags.writeable
-                assert np.array_equal(table, copy)
-
-    def test_keeps_no_copy_of_the_stack(self):
-        # Beside the dataset's stack, one true-class score per model and
-        # sample, and one float32 margin per model, rival and sample.
-        n_models, n, n_classes = 4, 500, 3
-        ds = random_dataset(np.random.default_rng(0), n_models=n_models, n_samples=n,
-                            n_classes=n_classes)
-        scorer = objective._Scorer(ds, "fused_accuracy")
-        assert scorer._true.shape == (n_models, 1, n)
+    def test_fused_accuracy_holds_only_the_read_only_margin_table(self):
+        # Beside the dataset's stack and labels, one float32 margin per model,
+        # rival and sample; the true-class scores only build it.
+        n_models, n_classes = 3, 4
+        ds = tied_dataset(0, n_models, n_classes)
+        scorer = make_objective(ds, "fused_accuracy")
+        assert scorer._stack is ds.stack and scorer._y is ds.y
+        tables = held_tables(scorer, ds)
+        assert [table.shape for table in tables] == [(n_models, (n_classes - 1) * ds.num_samples)]
+        assert tables[0].nbytes == n_models * (n_classes - 1) * ds.num_samples * 4
         # In C order the screen is one plain sgemv over the margin table.
-        assert scorer._true.flags.c_contiguous and scorer._margins.flags.c_contiguous
-        arrays = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
-        assert sum(a.nbytes for a in arrays if a is not ds.stack and a is not ds.y) == (
-            n_models * n * 8 + n_models * (n_classes - 1) * n * 4)
+        assert tables[0].flags.c_contiguous
+        assert_calls_leave_read_only_and_unchanged(scorer, [ds.stack, *tables])
+        freed = weakref.ref(scorer)
+        del scorer  # no reference cycle keeps the scorer, and so its tables, alive
+        assert freed() is None
+
+    def test_score_mass_holds_only_the_read_only_true_class_table(self):
+        n_models, n_classes = 3, 4
+        ds = tied_dataset(0, n_models, n_classes)
+        scorer = make_objective(ds, "score_mass")
+        tables = held_tables(scorer, ds)
+        assert [table.shape for table in tables] == [(n_models, 1, ds.num_samples)]
+        assert not any(v is ds.stack or v is ds.y for v in vars(scorer).values())
+        assert tables[0].flags.c_contiguous
+        assert_calls_leave_read_only_and_unchanged(scorer, [ds.stack, *tables])
+        freed = weakref.ref(scorer)
+        del scorer  # no reference cycle keeps the scorer, and so its tables, alive
+        assert freed() is None
+
+
+def held_tables(scorer, ds):
+    """Every array a scorer holds other than the dataset's stack and labels."""
+    return [v for v in vars(scorer).values()
+            if isinstance(v, np.ndarray) and v is not ds.stack and v is not ds.y]
+
+
+def assert_calls_leave_read_only_and_unchanged(scorer, tables):
+    before = [table.copy() for table in tables]
+    for raw in (np.ones(3), np.array([0.0, 2.0, 1.0]), np.array([0.2, 0.7, 0.1])):
+        scorer(raw)
+        scorer.accuracy(raw)
+    for table, copy in zip(tables, before):
+        assert not table.flags.writeable
+        assert np.array_equal(table, copy)
 
 
 class TestConfusion:

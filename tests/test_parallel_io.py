@@ -225,11 +225,16 @@ def test_out_of_memory_in_a_reader_is_one_error_line(tmp_path, capsys, monkeypat
 
 def test_out_of_memory_for_the_stack_names_its_shape(tmp_path, capsys, monkeypatch):
     _, paths, labels = _corpus(tmp_path / "corpus")
+    matrices, label_vector = [load_scores(path) for path in paths], load_labels(labels)
     _fail_allocation(monkeypatch, (3, 40, 3), "")
+    message = "out of memory allocating the (M, N, K) = (3, 40, 3) score stack"
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         assert _run(_fuse(paths, labels, tmp_path / "f.csv"), capsys) == (
-            2, "error: out of memory allocating the (M, N, K) = (3, 40, 3) score stack\n")
+            2, f"error: {message}\n")
+    with pytest.raises(MemoryError) as caught:
+        align(matrices, label_vector)
+    assert str(caught.value) == message
     assert _no_children_left()
 
 
