@@ -44,6 +44,7 @@ from .scoreio import (
     ReportRow,
     ScoreMatrix,
     _number,
+    _out_of_memory,
     align,
     load_aligned,
     load_labels,
@@ -65,14 +66,24 @@ from .textprep import (
 COMPARISON_ORDER = METHODS
 
 
-def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
+def _check_outputs(outputs, inputs) -> None:
+    """A usage error if an output path names an input file; paths are compared resolved."""
+    sources = {Path(path).resolve(): path for path in inputs if path is not None}
+    for out in outputs:
+        source = sources.get(Path(out).resolve())
+        if source is not None:
+            raise UsageError(f"output path '{out}' would overwrite the input '{source}'")
+
+
+def _run(manifest_path, manifest, methods, seed, grid_step, variant, out, json_path) -> int:
     """Choose each method's weights on validation, score them on test, write the outputs.
 
     Every search setting is checked here, under the seed and grid step left
     after command-line overrides, before any score file is read. The objective
     is built once, and nothing is written until every method has succeeded.
     ``json_path(method)`` names a method's result JSON, which must not be
-    the report's path ``out``.
+    the report's path ``out``; neither may name the manifest at
+    ``manifest_path`` or a file it lists.
 
     With more than one method, on Linux with more than one usable CPU and
     numpy on OpenBLAS, the first search runs here and each other in a forked
@@ -89,8 +100,11 @@ def _run(manifest, methods, seed, grid_step, variant, out, json_path) -> int:
     """
     check_variant(variant)
     for method in methods:
-        if json_path(method) == out:
+        if Path(json_path(method)).resolve() == Path(out).resolve():
             raise UsageError(f"report path '{out}' is also the result JSON of method '{method}'")
+    _check_outputs([out, *map(json_path, methods)],
+                   [manifest_path, *(path for _, path in manifest.models), manifest.labels_path,
+                    manifest.validation_ids_path])
     own = OptimizerConfig(method=manifest.method, seed=seed, grid_step=grid_step,
                           params=manifest.params)
     configs = [own if method == own.method else
@@ -175,10 +189,14 @@ def _print_row(row: ReportRow) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    labels = load_labels(args.labels)
+    if args.out:
+        _check_outputs([args.out], [*args.scores, args.labels])
+    with _out_of_memory(f"reading {args.labels}"):
+        labels = load_labels(args.labels)
     rows = []
     for scores_path in args.scores:
-        matrix = load_scores(scores_path)
+        with _out_of_memory(f"reading {scores_path}"):
+            matrix = load_scores(scores_path)
         dataset = align([matrix], labels)
         predictions = predict(fuse(dataset, equal_weights(1)))
         report = metrics(confusion(predictions, dataset.labels))
@@ -199,6 +217,7 @@ def _parse_weights(text: str) -> WeightVector:
 
 
 def cmd_fuse(args) -> int:
+    _check_outputs([args.out], [*args.scores, args.labels])
     dataset = load_aligned([(None, path) for path in args.scores], args.labels)
     fused = fuse(dataset, _parse_weights(args.weights))
     write_scores(ScoreMatrix("fused", fused.sample_ids, fused.fused), args.out)
@@ -213,7 +232,7 @@ def cmd_optimize(args) -> int:
     grid_step = args.grid_step if args.grid_step is not None else manifest.grid_step
     variant = args.objective or manifest.objective
     out = Path(args.out) if args.out else manifest.output
-    return _run(manifest, [method], seed, grid_step, variant, out,
+    return _run(args.manifest, manifest, [method], seed, grid_step, variant, out,
                 lambda _: out.with_suffix(".json"))
 
 
@@ -221,8 +240,8 @@ def cmd_compare(args) -> int:
     manifest = load_manifest(args.manifest)
     seed = args.seed if args.seed is not None else manifest.seed
     out = Path(args.out) if args.out else manifest.output
-    return _run(manifest, COMPARISON_ORDER, seed, manifest.grid_step, manifest.objective,
-                out, lambda method: out.with_name(f"{out.stem}.{method}.json"))
+    return _run(args.manifest, manifest, COMPARISON_ORDER, seed, manifest.grid_step,
+                manifest.objective, out, lambda method: out.with_name(f"{out.stem}.{method}.json"))
 
 
 def cmd_prep(args) -> int:

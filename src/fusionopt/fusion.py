@@ -17,16 +17,40 @@ from .errors import FusionOptError, InvalidWeightsError
 FUSED_ROW_SUM_TOLERANCE = 1e-9
 
 
+def weight_list(values) -> list:
+    """``values`` as a list of Python floats, checked against the one weight rule.
+
+    The rule: a non-empty 1-D vector of finite, nonnegative entries, not all
+    zero. :class:`WeightVector` and :func:`exact_simplex` both apply it here.
+    The entries are checked as Python floats, which costs less than numpy
+    reductions on an M-vector.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidWeightsError("weights must form a non-empty 1-D vector")
+    vals = arr.tolist()
+    if not all(map(math.isfinite, vals)):
+        raise InvalidWeightsError("weights contain non-finite entries")
+    if min(vals) < 0.0:
+        raise InvalidWeightsError("weights contain negative entries")
+    if max(vals) == 0.0:
+        raise InvalidWeightsError("weights are all zero")
+    return vals
+
+
 def exact_simplex(values) -> np.ndarray:
-    """Rescale weights that pass :class:`WeightVector` so their ``math.fsum`` is exactly 1.0.
+    """Rescale weights that pass :func:`weight_list` so their ``math.fsum`` is exactly 1.0.
 
     Plain division leaves the compensated sum an ulp or two away from one,
     which would make repeated normalization (or a save/load cycle) drift.
     After dividing by the total, the largest coordinate is nudged onto the
     exact residual, which makes this function a bitwise fixed point:
     ``exact_simplex(exact_simplex(x))`` returns ``exact_simplex(x)`` unchanged.
+    The loop tries the coordinates from the largest down, ties to the
+    lowest index; its first pass, on the largest, is taken on its own first,
+    and settles almost every vector.
     """
-    vals = WeightVector(values).values.tolist()
+    vals = weight_list(values)
     try:
         total = math.fsum(vals)
     except OverflowError:  # finite entries whose sum float64 cannot hold
@@ -34,6 +58,14 @@ def exact_simplex(values) -> np.ndarray:
     if total == 1.0:
         return np.asarray(vals, dtype=np.float64)
     scaled = [v / total for v in vals]
+    largest = max(scaled)
+    j = scaled.index(largest)
+    nudged = 1.0 - math.fsum(scaled[:j] + scaled[j + 1:])
+    if nudged >= 0.0:
+        scaled[j] = nudged
+        if math.fsum(scaled) == 1.0:
+            return np.asarray(scaled, dtype=np.float64)
+        scaled[j] = largest
     for j in sorted(range(len(scaled)), key=lambda i: (-scaled[i], i)):
         rest = math.fsum(scaled[:j] + scaled[j + 1:])
         nudged = 1.0 - rest
@@ -121,25 +153,14 @@ def exact_simplex_rows(table: np.ndarray) -> np.ndarray:
 class WeightVector:
     """Per-model fusion weights; raw vectors may be unnormalized.
 
-    The one weight rule, which :func:`exact_simplex` applies through this
-    class: a non-empty 1-D vector of finite, nonnegative entries, not all
-    zero. Optimizers screen raw all-zero candidates before scoring them.
+    The values pass the one weight rule, :func:`weight_list`. Optimizers
+    screen raw all-zero candidates before scoring them.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidWeightsError("weights must form a non-empty 1-D vector")
-        # Python floats: cheaper than numpy reductions on an M-vector.
-        vals = arr.tolist()
-        if not all(map(math.isfinite, vals)):
-            raise InvalidWeightsError("weights contain non-finite entries")
-        if min(vals) < 0.0:
-            raise InvalidWeightsError("weights contain negative entries")
-        if max(vals) == 0.0:
-            raise InvalidWeightsError("weights are all zero")
+        arr = np.array(weight_list(self.values), dtype=np.float64)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -225,13 +225,20 @@ class _Scorer:
         weights = exact_simplex(raw)
         check_weight_count(weights, len(self._margins))
         screen = weights.astype(np.float32) @ self._margins
-        margin = screen.reshape(-1, len(self._y)).max(axis=0)
-        wrong = np.count_nonzero(margin > self._delta)
-        if np.count_nonzero(margin >= -self._delta) > wrong:  # a margin within +/-delta
-            near = np.flatnonzero(np.abs(margin) <= self._delta)
+        n, delta = len(self._y), self._delta
+        # The call owns its sgemv result: fold each further rival's margins
+        # into the first rival's N entries, which become the samples' margins.
+        margin = screen[:n]
+        for start in range(n, screen.size, n):
+            np.maximum(margin, screen[start:start + n], out=margin)
+        flags = np.greater(margin, delta)
+        wrong = np.count_nonzero(flags)
+        if np.count_nonzero(np.greater_equal(margin, -delta, out=flags)) > wrong:
+            # a margin within +/-delta
+            near = (np.abs(margin) <= delta).nonzero()[0]
             fused = combine(weights, self._stack[:, near])
             wrong += np.count_nonzero(fused.argmax(axis=1) != self._y[near])
-        return (margin.size - wrong) / margin.size
+        return (n - wrong) / n
 
 
 def cumulative_accuracy(dataset, weights: WeightVector, variant: str = "fused_accuracy") -> float:

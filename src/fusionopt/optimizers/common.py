@@ -260,7 +260,9 @@ class EvaluationTracker:
             raise BudgetExhausted
         self.evaluations += 1
         raw = np.asarray(candidate, dtype=np.float64)
-        if not (raw > 0.0).any():
+        # ``(raw > 0.0).any()`` on Python floats, NaN and -0.0 included,
+        # without numpy's per-call overhead on an M-vector.
+        if not any(map((0.0).__lt__, raw.tolist())):
             return 1.0  # worst by fiat; never evaluated, never the best
         if self._memo is None:
             error = float(self._objective(raw))

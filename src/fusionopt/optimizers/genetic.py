@@ -11,15 +11,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import BudgetExhausted, EvaluationTracker, rank_key, rng_stream
+from .common import BudgetExhausted, EvaluationTracker, better, rank_key, rng_stream
 
 _SITE_INIT = 0
 _SITE_GENERATION_BASE = 1
 
 
-def _tournament(rng, population, errors, size: int) -> np.ndarray:
-    contenders = rng.integers(0, len(population), size=size)
-    winner = min(contenders, key=lambda i: rank_key(errors[i], population[i]))
+def _tournament(rng, population, rows, errors, size: int) -> np.ndarray:
+    """The best of ``size`` drawn contenders under :func:`rank_key`, the first on a full tie.
+
+    ``rows`` is ``population.tolist()`` and ``errors`` a list, so a contender
+    costs no numpy call.
+    """
+    contenders = rng.integers(0, len(rows), size=size).tolist()
+    winner = contenders[0]
+    for i in contenders[1:]:
+        if better(errors[i], rows[i], errors[winner], rows[winner]):
+            winner = i
     return population[winner].copy()
 
 
@@ -35,22 +43,23 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
 
     drawn = tracker.affordable(pop_size)
     population = rng_stream(seed, _SITE_INIT).uniform(size=(drawn, n_models))
-    errors = np.array([tracker.evaluate(x) for x in population])
+    errors = [tracker.evaluate(x) for x in population]
     if drawn < pop_size:
         raise BudgetExhausted
 
-    best_seen = float(errors.min())
+    best_seen = min(errors)
     stalled = 0
     for generation in range(generations):
         rng = rng_stream(seed, _SITE_GENERATION_BASE + generation)
-        ranked = sorted(range(pop_size), key=lambda i: rank_key(errors[i], population[i]))
+        rows = population.tolist()
+        ranked = sorted(range(pop_size), key=lambda i: rank_key(errors[i], rows[i]))
         elites = [population[i].copy() for i in ranked[:elitism]]
-        elite_errors = [float(errors[i]) for i in ranked[:elitism]]
+        elite_errors = [errors[i] for i in ranked[:elitism]]
 
         children: list[np.ndarray] = []
         while len(children) < pop_size - elitism:
-            parent_a = _tournament(rng, population, errors, tournament_size)
-            parent_b = _tournament(rng, population, errors, tournament_size)
+            parent_a = _tournament(rng, population, rows, errors, tournament_size)
+            parent_b = _tournament(rng, population, rows, errors, tournament_size)
             if rng.random() < crossover_prob:
                 mask = rng.random(n_models) < 0.5
                 child_a = np.where(mask, parent_a, parent_b)
@@ -60,15 +69,16 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
             for child in (child_a, child_b):
                 mutate = rng.random(n_models) < mutation_prob
                 noise = rng.normal(0.0, sigma, n_models)
-                mutated = np.where(mutate, np.clip(child + noise, 0.0, 1.0), child)
-                children.append(mutated)
+                if mutate.any():  # else the child is kept as it is
+                    child = np.where(mutate, (child + noise).clip(0.0, 1.0), child)
+                children.append(child)
         children = children[: pop_size - elitism]
 
         child_errors = [tracker.evaluate(child) for child in children]
         population = np.array(elites + children)
-        errors = np.array(elite_errors + child_errors)
+        errors = elite_errors + child_errors
 
-        generation_best = float(errors.min())
+        generation_best = min(errors)
         if generation_best < best_seen:
             best_seen = generation_best
             stalled = 0

@@ -24,7 +24,7 @@ def initial_simplex(n_models: int, offset: float) -> list[np.ndarray]:
             vertex[axis] += offset
         else:
             vertex[axis] -= offset
-        vertices.append(np.clip(vertex, 0.0, 1.0))
+        vertices.append(vertex.clip(0.0, 1.0))
     return vertices
 
 
@@ -48,11 +48,11 @@ def run(tracker: EvaluationTracker, n_models: int, params: dict, on_iteration=No
 
         centroid = np.mean(vertices[:-1], axis=0)
         worst = vertices[-1]
-        reflected = np.clip(centroid + alpha * (centroid - worst), 0.0, 1.0)
+        reflected = (centroid + alpha * (centroid - worst)).clip(0.0, 1.0)
         f_reflected = tracker.evaluate(reflected)
 
         if f_reflected < errors[0]:
-            expanded = np.clip(centroid + gamma * (centroid - worst), 0.0, 1.0)
+            expanded = (centroid + gamma * (centroid - worst)).clip(0.0, 1.0)
             f_expanded = tracker.evaluate(expanded)
             if f_expanded < f_reflected:
                 vertices[-1], errors[-1] = expanded, f_expanded
@@ -63,14 +63,14 @@ def run(tracker: EvaluationTracker, n_models: int, params: dict, on_iteration=No
         else:
             shrink_needed = False
             if f_reflected < errors[-1]:
-                contracted = np.clip(centroid + rho * (reflected - centroid), 0.0, 1.0)
+                contracted = (centroid + rho * (reflected - centroid)).clip(0.0, 1.0)
                 f_contracted = tracker.evaluate(contracted)
                 if f_contracted <= f_reflected:
                     vertices[-1], errors[-1] = contracted, f_contracted
                 else:
                     shrink_needed = True
             else:
-                contracted = np.clip(centroid + rho * (worst - centroid), 0.0, 1.0)
+                contracted = (centroid + rho * (worst - centroid)).clip(0.0, 1.0)
                 f_contracted = tracker.evaluate(contracted)
                 if f_contracted < errors[-1]:
                     vertices[-1], errors[-1] = contracted, f_contracted
@@ -78,9 +78,8 @@ def run(tracker: EvaluationTracker, n_models: int, params: dict, on_iteration=No
                     shrink_needed = True
             if shrink_needed:
                 for i in range(1, len(vertices)):
-                    vertices[i] = np.clip(
-                        vertices[0] + sigma * (vertices[i] - vertices[0]), 0.0, 1.0
-                    )
+                    step = sigma * (vertices[i] - vertices[0])
+                    vertices[i] = (vertices[0] + step).clip(0.0, 1.0)
                     errors[i] = tracker.evaluate(vertices[i])
 
         if on_iteration is not None:

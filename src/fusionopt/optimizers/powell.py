@@ -26,7 +26,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def _feasible_interval(x: np.ndarray, direction: np.ndarray) -> tuple[float, float]:
     """Range of t keeping x + t*direction inside the unit box (0 is always inside)."""
     low, high = -math.inf, math.inf
-    for xi, di in zip(x, direction):
+    for xi, di in zip(x.tolist(), direction.tolist()):
         if di == 0.0:
             continue
         a = (0.0 - xi) / di
@@ -45,7 +45,7 @@ def _line_minimize(tracker, x, direction, f_x, tolerance):
         return x, f_x
 
     def point(t: float) -> np.ndarray:
-        return np.clip(x + t * direction, 0.0, 1.0)
+        return (x + t * direction).clip(0.0, 1.0)
 
     best_t, best_f = 0.0, f_x
     a, b = low, high
@@ -96,7 +96,7 @@ def _minimize_from(tracker, start, line_tolerance, outer_tolerance, max_outer):
         # Standard replacement test: keep the direction set well conditioned
         # by only adopting the cycle displacement when the extrapolated point
         # keeps descending and the decrease was not dominated by one direction.
-        extrapolated = np.clip(2.0 * x - x_start, 0.0, 1.0)
+        extrapolated = (2.0 * x - x_start).clip(0.0, 1.0)
         f_e = tracker.evaluate(extrapolated)
         if f_e < f_start:
             t = (

@@ -32,7 +32,7 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
     )
 
     personal_best = positions.copy()
-    personal_error = np.array([tracker.evaluate(x) for x in positions])
+    personal_error = [tracker.evaluate(x) for x in positions]
     if drawn < swarm_size:
         raise BudgetExhausted
 
@@ -40,7 +40,7 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
         range(swarm_size), key=lambda j: rank_key(personal_error[j], personal_best[j])
     )
     global_best = personal_best[best_j].copy()
-    global_error = float(personal_error[best_j])
+    global_error = personal_error[best_j]
 
     for iteration in range(iterations):
         rng = rng_stream(seed, _SITE_ITERATION_BASE + iteration)
@@ -51,13 +51,13 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
             + cognitive * r_cognitive * (personal_best - positions)
             + social * r_social * (global_best - positions)
         )
-        np.clip(velocities, -v_max, v_max, out=velocities)
-        positions = np.clip(positions + velocities, 0.0, 1.0)
-        for j in range(swarm_size):
-            error = tracker.evaluate(positions[j])
-            if better(error, positions[j], personal_error[j], personal_best[j]):
+        velocities.clip(-v_max, v_max, out=velocities)
+        positions = (positions + velocities).clip(0.0, 1.0)
+        for j, x in enumerate(positions):
+            error = tracker.evaluate(x)
+            if better(error, x, personal_error[j], personal_best[j]):
                 personal_error[j] = error
-                personal_best[j] = positions[j]
-                if better(error, positions[j], global_error, global_best):
+                personal_best[j] = x
+                if better(error, x, global_error, global_best):
                     global_error = error
-                    global_best = positions[j].copy()
+                    global_best = x.copy()

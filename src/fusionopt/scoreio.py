@@ -593,9 +593,10 @@ def load_aligned(models, labels_path, split: str = "validation") -> FusionDatase
 
     The fault reported is the one :func:`load_labels`, then
     :func:`load_scores` on each file in order, then :func:`align` would
-    raise.
+    raise. Out of memory while reading a file names that file.
     """
-    labels = load_labels(labels_path)
+    with _out_of_memory(f"reading {labels_path}"):
+        labels = load_labels(labels_path)
     models = [(Path(path).stem if mid is None else mid, Path(path)) for mid, path in models]
     labels.positions  # built before the readers fork, so they share it
     readers = [partial(_read_in_label_order, path, mid, labels) for mid, path in models]

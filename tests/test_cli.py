@@ -1131,6 +1131,77 @@ class TestManifestEdges:
         assert (root / "report.json").exists()
 
 
+def _snapshot(root):
+    return {path: path.read_bytes() for path in sorted(root.rglob("*"))}
+
+
+class TestOutputOverInput:
+    """An output path that names an input file: exit 2, with nothing read or written.
+
+    Each corpus has a score file no reader accepts, so reading it would exit 1.
+    """
+
+    def _corpus(self, tmp_path, **manifest_extra):
+        root = tmp_path / "c"
+        manifest = _write_corpus(root, tiered_dataset(3, n_samples=30),
+                                 validation_ids=[f"s{i:04d}" for i in range(20)],
+                                 manifest_extra=manifest_extra)
+        (root / "m1.csv").write_text("not,a,score\ntable\n", encoding="utf-8")
+        return root, manifest
+
+    def _refused(self, argv, root, capsys, out, source):
+        before = _snapshot(root)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output path '{out}' would overwrite the input '{source}'\n"
+        assert _snapshot(root) == before
+
+    @pytest.mark.parametrize("target", ["m0.csv", "labels.csv"])
+    def test_fuse(self, tmp_path, capsys, target):
+        root, _ = self._corpus(tmp_path)
+        source = root / target
+        out = root / "sub" / ".." / target  # the same file once resolved
+        argv = ["fuse", "--scores", str(root / "m0.csv"), "--scores", str(root / "m1.csv"),
+                "--labels", str(root / "labels.csv"), "--weights", "1,1", "--out", str(out)]
+        self._refused(argv, root, capsys, out, source)
+
+    @pytest.mark.parametrize("target", ["m1.csv", "labels.csv"])
+    def test_evaluate(self, tmp_path, capsys, target, monkeypatch):
+        root, _ = self._corpus(tmp_path)
+        monkeypatch.chdir(root)
+        argv = ["evaluate", "--scores", "m1.csv", "--labels", str(root / "labels.csv"),
+                "--out", target]
+        self._refused(argv, root, capsys, target, "m1.csv" if target == "m1.csv" else
+                      str(root / "labels.csv"))
+
+    @pytest.mark.parametrize("report, target", [
+        ("labels.csv", "labels.csv"),
+        ("validation_ids.txt", "validation_ids.txt"),
+        ("manifest.csv", "manifest.json"),  # the result JSON onto the manifest
+    ])
+    def test_optimize(self, tmp_path, capsys, report, target):
+        root, manifest = self._corpus(tmp_path, method="equal")
+        argv = ["optimize", "--manifest", str(manifest), "--out", str(root / report)]
+        source = manifest if target == "manifest.json" else root / target
+        self._refused(argv, root, capsys, root / target, source)
+
+    @pytest.mark.parametrize("where", ["flag", "manifest"])
+    def test_compare(self, tmp_path, capsys, where):
+        root, manifest = self._corpus(tmp_path, output="m0.csv")
+        flag = ["--out", str(root / "m0.csv")] if where == "flag" else []
+        argv = ["compare", "--manifest", str(manifest), *flag]
+        self._refused(argv, root, capsys, root / "m0.csv", root / "m0.csv")
+
+    def test_compare_result_json_onto_a_score_file(self, tmp_path, capsys):
+        root, manifest = self._corpus(tmp_path)
+        (root / "m0.csv").rename(root / "r.pso.json")
+        text = manifest.read_text(encoding="utf-8").replace('"m0.csv"', '"r.pso.json"')
+        manifest.write_text(text, encoding="utf-8")
+        argv = ["compare", "--manifest", str(manifest), "--out", str(root / "r.csv")]
+        self._refused(argv, root, capsys, root / "r.pso.json", root / "r.pso.json")
+
+
 class TestValidationTestSeparation:
     def test_altering_test_scores_never_changes_weights(self, tmp_path, capsys):
         ds = tiered_dataset(13, n_samples=60)

@@ -167,6 +167,98 @@ class TestExactSimplexRows:
         assert [math.fsum(row) for row in table.tolist()] == [1.0, 1.0, 0.0]
 
 
+def _reference_weight_rule(values):
+    """The weight rule as ``WeightVector`` applied it before it moved to ``weight_list``."""
+    arr = np.array(values, dtype=np.float64, copy=True)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidWeightsError("weights must form a non-empty 1-D vector")
+    vals = arr.tolist()
+    if not all(map(math.isfinite, vals)):
+        raise InvalidWeightsError("weights contain non-finite entries")
+    if min(vals) < 0.0:
+        raise InvalidWeightsError("weights contain negative entries")
+    if max(vals) == 0.0:
+        raise InvalidWeightsError("weights are all zero")
+    return arr
+
+
+def _reference_exact_simplex(values) -> np.ndarray:
+    """``exact_simplex`` as it was before its first-pass exit, verbatim but for the rule."""
+    vals = _reference_weight_rule(values).tolist()
+    try:
+        total = math.fsum(vals)
+    except OverflowError:  # finite entries whose sum float64 cannot hold
+        raise InvalidWeightsError("cannot normalize vector: its sum overflows float64") from None
+    if total == 1.0:
+        return np.asarray(vals, dtype=np.float64)
+    scaled = [v / total for v in vals]
+    for j in sorted(range(len(scaled)), key=lambda i: (-scaled[i], i)):
+        rest = math.fsum(scaled[:j] + scaled[j + 1:])
+        nudged = 1.0 - rest
+        if nudged >= 0.0:
+            scaled[j] = nudged
+        if math.fsum(scaled) == 1.0:
+            break
+    return np.asarray(scaled, dtype=np.float64)
+
+
+def _outcome(function, values):
+    """The bits ``function`` returns, or the type and message of what it raises."""
+    try:
+        return function(values).tobytes()
+    except InvalidWeightsError as exc:
+        return type(exc), str(exc)
+
+
+def _weight_vectors(rng, n, m):
+    """n vectors of m weights: scales 1e-3 to 1e5, exact ties, zeros, subnormals, overflow."""
+    table = rng.random((n, m)) * 10.0 ** rng.uniform(-3.0, 5.0, size=(n, 1))
+    part = n // 10
+    blocks = [table[i * part:(i + 1) * part] for i in range(9)]
+    blocks[0][:] = np.round(blocks[0], 2)  # few distinct values: ties everywhere
+    blocks[1][:, -1] = blocks[1].max(axis=1)  # the largest entry tied, lowest index first
+    blocks[2][rng.random(blocks[2].shape) < 0.4] = 0.0
+    blocks[2][rng.random(blocks[2].shape) < 0.1] = -0.0
+    blocks[3][rng.random(blocks[3].shape) < 0.5] *= 2.0 ** -1060  # subnormal entries
+    blocks[4][:] *= 2.0 ** -1074 / blocks[4].max(axis=1, keepdims=True).clip(1e-300)
+    blocks[5][:] = rng.random(blocks[5].shape) * 1.7976931348623157e308  # sums overflow
+    blocks[6][:] = rng.choice([0.1, 0.2, 0.3, 1.0 / 3.0, 0.5, 2.0 ** -54], blocks[6].shape)
+    blocks[7][:] = np.where(rng.random(blocks[7].shape) < 0.5, 1.0, 0.0)  # one-hots and all-zero
+    bad = rng.random(blocks[8].shape) < 0.05
+    blocks[8][bad] = rng.choice([-1.0, -0.0, math.inf, math.nan], int(bad.sum()))
+    return table
+
+
+class TestExactSimplexFirstPass:
+    """The first-pass exit and the one weight rule change no bit and no error."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    def test_matches_the_loop_only_code_bit_for_bit(self, m):
+        # 5 x 45,000 vectors, 225,000 in all
+        table = _weight_vectors(np.random.default_rng(4100 + m), 45_000, m)
+        kinds = set()
+        for row in table:
+            expected = _outcome(_reference_exact_simplex, row)
+            assert _outcome(exact_simplex, row) == expected, row.tolist()
+            kinds.add(expected[0] if isinstance(expected, tuple) else bytes)
+        assert bytes in kinds and InvalidWeightsError in kinds
+        # WeightVector keeps the values it is given, and raises the same errors.
+        for row in table[::50]:
+            expected = _outcome(_reference_weight_rule, row)
+            assert _outcome(lambda v: WeightVector(v).values, row) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    def test_matches_exact_simplex_rows_row_by_row(self, m):
+        table = _weight_vectors(np.random.default_rng(4200 + m), 20_000, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            keep = (table >= 0.0).all(axis=1) & np.isfinite(table.sum(axis=1))
+        table = table[keep & (table > 0.0).any(axis=1)]
+        rows = table.copy()
+        exact_simplex_rows(rows)
+        for row, got in zip(table, rows):
+            assert got.tobytes() == exact_simplex(row).tobytes(), row.tolist()
+
+
 class TestEqualWeights:
     def test_three_models(self):
         np.testing.assert_array_equal(equal_weights(3).values, [1 / 3, 1 / 3, 1 / 3])

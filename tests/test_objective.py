@@ -506,6 +506,27 @@ class TestMetrics:
             assert report.f1 >= min(report.precision, report.recall) - 1e-15
 
 
+class TestScorerCallSequence:
+    @pytest.mark.parametrize("n_classes", [2, 3, 5])
+    def test_one_scorer_counts_each_vector_as_a_fresh_one_does(self, n_classes):
+        # A call keeps nothing: not a buffer, not a count, not after it raised.
+        rng = np.random.default_rng(50 + n_classes)
+        datasets = [random_dataset(rng, n_models=3, n_samples=400, n_classes=n_classes)]
+        if n_classes > 2:
+            datasets.append(tied_dataset(60 + n_classes, 3, n_classes))
+        vectors = np.concatenate([rng.random((30, 3)), np.eye(3), np.ones((1, 3)),
+                                  rng.choice([0.0, 0.5, 1.0], (10, 3)) + np.eye(3)[[0]]])
+        for ds in datasets:
+            scorer = make_objective(ds)
+            for i, raw in enumerate(vectors):
+                if i % 4 == 0:
+                    with pytest.raises(InvalidWeightsError):
+                        scorer(np.array([1.0, -1.0, 1.0]) if i % 8 else np.ones(2))
+                fresh = make_objective(ds)
+                assert scorer.accuracy(raw) == fresh.accuracy(raw)
+                assert scorer(raw) == fresh(raw)
+
+
 class TestMakeObjective:
     def test_returns_error_of_raw_vector(self):
         ds = hand_dataset()

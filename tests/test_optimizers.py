@@ -16,8 +16,9 @@ from fusionopt.optimizers import (
     result_to_json,
     simplex_grid_size,
 )
+from fusionopt.optimizers import genetic
 from fusionopt.optimizers.brute_force import grid_candidates
-from fusionopt.optimizers.common import BudgetExhausted, EvaluationTracker
+from fusionopt.optimizers.common import BudgetExhausted, EvaluationTracker, rank_key, rng_stream
 from fusionopt.optimizers.nelder_mead import run as nm_run
 
 from synthdata import hand_dataset, random_dataset, tiered_dataset
@@ -472,6 +473,19 @@ class TestTracker:
         assert (tracker.evaluations, len(calls), tracker.trace) == (3, 3, [(1, 0.5)])
         np.testing.assert_array_equal(tracker.best_raw, [0.2, 0.8])
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_the_zero_test_lets_through_what_numpy_positivity_would(self, m):
+        # The tracker tests Python floats; (raw > 0.0).any() is the reference.
+        specials = [0.0, -0.0, math.nan, -1.0, 2.0 ** -1074, -(2.0 ** -1074), 0.5, math.inf,
+                    -math.inf]
+        for values in itertools.product(specials, repeat=m):
+            raw = np.array(values)
+            calls = []
+            tracker = EvaluationTracker(lambda r: calls.append(1) or 0.5, 1)
+            error = tracker.evaluate(raw)
+            assert len(calls) == int((raw > 0.0).any()), values
+            assert error == (0.5 if calls else 1.0)
+
     def test_search_cut_off_by_the_budget_stops_at_exactly_the_budget(self):
         calls = []
         cfg = OptimizerConfig(method="ga", seed=2, max_evaluations=75,
@@ -491,6 +505,22 @@ class TestGenetic:
         result = optimize(lambda raw: 0.5, 3, cfg)
         # init (10) plus five stalled generations of 8 children each
         assert result.evaluations == 10 + 5 * 8
+
+
+    def test_tournament_picks_as_min_by_rank_key(self):
+        # Few distinct errors and entries, so errors tie often and rows now and then.
+        data = np.random.default_rng(11)
+        for trial in range(400):
+            n = int(data.integers(4, 12))
+            size = int(data.integers(1, n + 1))
+            population = data.choice([0.0, 0.25, 0.5, 1.0], (n, int(data.integers(1, 5))))
+            errors = data.choice([0.125, 0.25, 0.5], n).tolist()
+            ours, reference = rng_stream(3, trial), rng_stream(3, trial)
+            got = genetic._tournament(ours, population, population.tolist(), errors, size)
+            contenders = reference.integers(0, n, size=size)
+            winner = min(contenders, key=lambda i: rank_key(errors[i], population[i]))
+            assert got.tobytes() == population[winner].tobytes()
+            assert ours.random() == reference.random()  # the same draws were taken
 
 
 class TestPowell:

@@ -223,6 +223,46 @@ def test_out_of_memory_in_a_reader_is_one_error_line(tmp_path, capsys, monkeypat
     assert _no_children_left()
 
 
+def _fail_loadtxt(monkeypatch, dtype, message):
+    real = np.loadtxt
+
+    def loadtxt(*args, **kwargs):
+        if kwargs.get("dtype") is dtype:
+            raise MemoryError(message)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+
+
+def test_out_of_memory_reading_the_labels_names_them_in_every_command(tmp_path, capsys,
+                                                                      monkeypatch):
+    _, paths, labels = _corpus(tmp_path / "corpus")
+    manifest = tmp_path / "corpus" / "manifest.json"
+    manifest.write_text(json.dumps({
+        "models": [{"id": p.stem, "scores_path": p.name} for p in paths],
+        "labels_path": "labels.csv", "method": "equal", "seed": 1, "output": "report.csv"}),
+        encoding="utf-8")
+    _fail_loadtxt(monkeypatch, np.int64, "cannot allocate 40 x 1")
+    expected = (2, f"error: out of memory reading {labels}: cannot allocate 40 x 1\n")
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        for argv in (["evaluate", "--scores", str(paths[0]), "--labels", str(labels)],
+                     _fuse(paths, labels, tmp_path / "f.csv"),
+                     ["optimize", "--manifest", str(manifest)],
+                     ["compare", "--manifest", str(manifest)]):
+            assert _run(argv, capsys) == expected
+    assert not (tmp_path / "f.csv").exists()
+    assert _no_children_left()
+
+
+def test_out_of_memory_reading_a_score_file_in_evaluate_names_it(tmp_path, capsys,
+                                                                 monkeypatch):
+    _, paths, labels = _corpus(tmp_path / "corpus")
+    _fail_loadtxt(monkeypatch, np.float64, "")
+    argv = ["evaluate", "--scores", str(paths[0]), "--labels", str(labels)]
+    assert _run(argv, capsys) == (2, f"error: out of memory reading {paths[0]}\n")
+
+
 def test_out_of_memory_for_the_stack_names_its_shape(tmp_path, capsys, monkeypatch):
     _, paths, labels = _corpus(tmp_path / "corpus")
     matrices, label_vector = [load_scores(path) for path in paths], load_labels(labels)
