@@ -197,7 +197,7 @@ def cmd_evaluate(args) -> int:
     for scores_path in args.scores:
         with _out_of_memory(f"reading {scores_path}"):
             matrix = load_scores(scores_path)
-        dataset = align([matrix], labels)
+            dataset = align([matrix], labels)
         predictions = predict(fuse(dataset, equal_weights(1)))
         report = metrics(confusion(predictions, dataset.labels))
         rows.append(ReportRow.from_metrics(matrix.model_id, report))

@@ -532,10 +532,15 @@ def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDat
 
 @contextmanager
 def _out_of_memory(stage: str):
-    """Restate a MemoryError raised inside as one line that names ``stage``."""
+    """Restate a MemoryError raised inside as one line that names ``stage``.
+
+    One that an inner stage has restated already passes through as it is.
+    """
     try:
         yield
     except MemoryError as exc:
+        if str(exc).startswith("out of memory "):
+            raise
         raise MemoryError(f"out of memory {stage}" + (f": {exc}" if str(exc) else "")) from None
 
 

@@ -255,12 +255,23 @@ def test_out_of_memory_reading_the_labels_names_them_in_every_command(tmp_path, 
     assert _no_children_left()
 
 
+@pytest.mark.parametrize("where", ["parse", "placement", "stack"])
 def test_out_of_memory_reading_a_score_file_in_evaluate_names_it(tmp_path, capsys,
-                                                                 monkeypatch):
+                                                                 monkeypatch, where):
+    # As in fuse: parsing the file or placing its rows in label order is
+    # reading it, and the stack allocation names itself.
     _, paths, labels = _corpus(tmp_path / "corpus")
-    _fail_loadtxt(monkeypatch, np.float64, "")
+    if where == "parse":
+        _fail_loadtxt(monkeypatch, np.float64, "")
+        expected = f"out of memory reading {paths[0]}"
+    elif where == "placement":
+        _fail_allocation(monkeypatch, (40, 3), "cannot allocate 40 x 3")
+        expected = f"out of memory reading {paths[0]}: cannot allocate 40 x 3"
+    else:
+        _fail_allocation(monkeypatch, (1, 40, 3), "")
+        expected = "out of memory allocating the (M, N, K) = (1, 40, 3) score stack"
     argv = ["evaluate", "--scores", str(paths[0]), "--labels", str(labels)]
-    assert _run(argv, capsys) == (2, f"error: out of memory reading {paths[0]}\n")
+    assert _run(argv, capsys) == (2, f"error: {expected}\n")
 
 
 def test_out_of_memory_for_the_stack_names_its_shape(tmp_path, capsys, monkeypatch):
