@@ -16,10 +16,10 @@ claim rule holds), and every run with its environment and result line.
 Usage, from the repository root:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --seeds 7001-7010 --slug myslug [--workloads large-compare] [--seconds 40]
+        --seeds 7001-7010 --slug myslug
 
-Workloads, end-to-end metrics and the run length default to those in the
-change's ``BENCHMARK.json``.
+Workloads, end-to-end metrics and the run length are those in the change's
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="commit of the change side")
     parser.add_argument("--seeds", required=True, help="e.g. 7001-7010 or 7001,7003")
     parser.add_argument("--slug", required=True, help="the record is BENCH_<slug>.json")
-    parser.add_argument("--workloads", help="comma-separated; default: every workload")
-    parser.add_argument("--seconds", type=int, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--what", default="", help="what the change does, for the record")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
@@ -140,9 +138,8 @@ def main(argv=None) -> int:
     parent, change = (git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
                       for rev in (args.parent, args.change))
     config = json.loads(git("show", f"{change}:BENCHMARK.json"))
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in config["workloads"]])
-    seconds = args.seconds or config["run_seconds"]
+    workloads = [w["name"] for w in config["workloads"]]
+    seconds = config["run_seconds"]
     metrics = [metric["name"] for metric in config["end_to_end"]]
     seeds = parse_seeds(args.seeds)
     out = args.out_dir / f"BENCH_{args.slug}.json"

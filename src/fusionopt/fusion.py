@@ -47,8 +47,8 @@ def exact_simplex(values) -> np.ndarray:
     exact residual, which makes this function a bitwise fixed point:
     ``exact_simplex(exact_simplex(x))`` returns ``exact_simplex(x)`` unchanged.
     The loop tries the coordinates from the largest down, ties to the
-    lowest index; its first pass, on the largest, is taken on its own first,
-    and settles almost every vector.
+    lowest index; its first pass settles almost every vector, so the others
+    are sorted only when it does not.
     """
     vals = weight_list(values)
     try:
@@ -58,21 +58,17 @@ def exact_simplex(values) -> np.ndarray:
     if total == 1.0:
         return np.asarray(vals, dtype=np.float64)
     scaled = [v / total for v in vals]
-    largest = max(scaled)
-    j = scaled.index(largest)
-    nudged = 1.0 - math.fsum(scaled[:j] + scaled[j + 1:])
-    if nudged >= 0.0:
-        scaled[j] = nudged
-        if math.fsum(scaled) == 1.0:
-            return np.asarray(scaled, dtype=np.float64)
-        scaled[j] = largest
-    for j in sorted(range(len(scaled)), key=lambda i: (-scaled[i], i)):
+    order = [scaled.index(max(scaled))]
+    for j in order:
         rest = math.fsum(scaled[:j] + scaled[j + 1:])
         nudged = 1.0 - rest
         if nudged >= 0.0:
             scaled[j] = nudged
         if math.fsum(scaled) == 1.0:
             break
+        if len(order) == 1:  # the others are unchanged yet, so this is their order
+            order += sorted((i for i in range(len(scaled)) if i != j),
+                            key=lambda i: (-scaled[i], i))
     return np.asarray(scaled, dtype=np.float64)
 
 

@@ -17,18 +17,18 @@ _SITE_INIT = 0
 _SITE_GENERATION_BASE = 1
 
 
-def _tournament(rng, population, rows, errors, size: int) -> np.ndarray:
+def _tournament(rng, rows, errors, size: int) -> np.ndarray:
     """The best of ``size`` drawn contenders under :func:`rank_key`, the first on a full tie.
 
-    ``rows`` is ``population.tolist()`` and ``errors`` a list, so a contender
-    costs no numpy call.
+    ``rows`` is the population as lists of floats and ``errors`` a list, so a
+    contender costs no numpy call.
     """
     contenders = rng.integers(0, len(rows), size=size).tolist()
     winner = contenders[0]
     for i in contenders[1:]:
         if better(errors[i], rows[i], errors[winner], rows[winner]):
             winner = i
-    return population[winner].copy()
+    return np.array(rows[winner])
 
 
 def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> None:
@@ -58,8 +58,8 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
 
         children: list[np.ndarray] = []
         while len(children) < pop_size - elitism:
-            parent_a = _tournament(rng, population, rows, errors, tournament_size)
-            parent_b = _tournament(rng, population, rows, errors, tournament_size)
+            parent_a = _tournament(rng, rows, errors, tournament_size)
+            parent_b = _tournament(rng, rows, errors, tournament_size)
             if rng.random() < crossover_prob:
                 mask = rng.random(n_models) < 0.5
                 child_a = np.where(mask, parent_a, parent_b)

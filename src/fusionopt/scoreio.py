@@ -530,6 +530,10 @@ def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDat
                     [partial(_in_label_order, m, labels) for m in mats], labels, split)
 
 
+class _StageOutOfMemory(MemoryError):
+    """A MemoryError that :func:`_out_of_memory` has restated with its stage."""
+
+
 @contextmanager
 def _out_of_memory(stage: str):
     """Restate a MemoryError raised inside as one line that names ``stage``.
@@ -538,10 +542,11 @@ def _out_of_memory(stage: str):
     """
     try:
         yield
+    except _StageOutOfMemory:
+        raise
     except MemoryError as exc:
-        if str(exc).startswith("out of memory "):
-            raise
-        raise MemoryError(f"out of memory {stage}" + (f": {exc}" if str(exc) else "")) from None
+        raise _StageOutOfMemory(
+            f"out of memory {stage}" + (f": {exc}" if str(exc) else "")) from None
 
 
 def _stacked(model_ids, calls, labels: LabelVector, split: str) -> FusionDataset:

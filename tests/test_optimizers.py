@@ -516,7 +516,7 @@ class TestGenetic:
             population = data.choice([0.0, 0.25, 0.5, 1.0], (n, int(data.integers(1, 5))))
             errors = data.choice([0.125, 0.25, 0.5], n).tolist()
             ours, reference = rng_stream(3, trial), rng_stream(3, trial)
-            got = genetic._tournament(ours, population, population.tolist(), errors, size)
+            got = genetic._tournament(ours, population.tolist(), errors, size)
             contenders = reference.integers(0, n, size=size)
             winner = min(contenders, key=lambda i: rank_key(errors[i], population[i]))
             assert got.tobytes() == population[winner].tobytes()
