@@ -95,22 +95,26 @@ def quartiles(values: list[float]) -> dict:
 def summarize(runs: list[dict], workloads: list[str], metrics: list[str]) -> dict:
     """Per workload: pairs, failed runs per side, and per metric each side's quartiles and wins.
 
-    A pair counts only where both runs succeeded. ``change_lower_in_pairs``
-    counts the pairs whose change value is strictly lower, so ties count for
-    neither side. ``gain_shown`` applies the claim rule for a lower-is-better
-    metric: lower in at least nine tenths of the pairs, and the parent's
-    median above the change's by more than the parent's q3 - q1.
+    ``pairs`` counts every seed run on both sides, and ``failed`` the failed
+    runs of those pairs per side. Quartiles are over the pairs whose two runs
+    both succeeded. ``change_lower_in_pairs`` counts the pairs whose change
+    value is strictly lower, so ties, and pairs with a failed run, count for
+    neither side. ``gain_shown`` applies the claim rule for a
+    lower-is-better metric: lower in at least nine tenths of all pairs, no
+    more failed change runs than parent runs, and the parent's median above
+    the change's by more than the parent's q3 - q1.
     """
     summary = {}
     for workload in workloads:
         mine = [run for run in runs if run["workload"] == workload]
         sides = {side: {run["seed"]: run for run in mine if run["side"] == side}
                  for side in ("parent", "change")}
-        seeds = sorted(seed for seed in sides["parent"].keys() & sides["change"].keys()
-                       if not (failed(sides["parent"][seed]) or failed(sides["change"][seed])))
-        entry = {"pairs": len(seeds),
-                 "failed": {side: sum(map(failed, by_seed.values()))
-                            for side, by_seed in sides.items()}}
+        paired = sorted(sides["parent"].keys() & sides["change"].keys())
+        fails = {side: sum(failed(by_seed[seed]) for seed in paired)
+                 for side, by_seed in sides.items()}
+        seeds = [seed for seed in paired
+                 if not (failed(sides["parent"][seed]) or failed(sides["change"][seed]))]
+        entry = {"pairs": len(paired), "failed": fails}
         for name in metrics if seeds else ():
             values = {side: [sides[side][s]["result"]["metrics"][name]["value"] for s in seeds]
                       for side in sides}
@@ -118,8 +122,9 @@ def summarize(runs: list[dict], workloads: list[str], metrics: list[str]) -> dic
             wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
             parent, change = entry[name]["parent"], entry[name]["change"]
             entry[name]["change_lower_in_pairs"] = wins
-            entry[name]["gain_shown"] = (wins >= 0.9 * len(seeds) and
-                                         parent["median"] - change["median"]
+            entry[name]["gain_shown"] = (wins >= 0.9 * len(paired)
+                                         and fails["change"] <= fails["parent"]
+                                         and parent["median"] - change["median"]
                                          > parent["q3"] - parent["q1"])
         summary[workload] = entry
     return summary

@@ -17,8 +17,8 @@ line that names the stage, such as reading a score file or allocating the
 
 Work is forked through :mod:`fusionopt._fork`, on Linux with more than one
 usable CPU and from the main thread only: ``compare``'s searches (where
-OpenBLAS can be set to one thread), the score-file readers of ``compare``,
-``optimize`` and ``fuse``, and the formatters of every CSV of more than
+OpenBLAS can be set to one thread), the score-file readers of every command
+that reads score files, and the formatters of every CSV of more than
 ``scoreio._WRITE_ROWS`` rows. Outputs, messages and exit codes are the same
 with and without forking.
 """
@@ -36,7 +36,7 @@ import numpy as np
 
 from ._fork import forked, usable_cpus
 from .errors import FusionOptError, UsageError
-from .fusion import WeightVector, equal_weights, fuse, predict
+from .fusion import WeightVector, check_weight_count, equal_weights, fuse, predict
 from .objective import OBJECTIVE_VARIANTS, check_variant, confusion, make_objective, metrics
 from .optimizers import METHODS, OptimizerConfig, optimize, write_result_json
 from .scoreio import (
@@ -44,13 +44,10 @@ from .scoreio import (
     ReportRow,
     ScoreMatrix,
     _number,
-    _out_of_memory,
-    align,
     load_aligned,
-    load_labels,
+    load_each,
     load_manifest,
     load_manifest_splits,
-    load_scores,
     write_report,
     write_scores,
 )
@@ -191,16 +188,11 @@ def _print_row(row: ReportRow) -> None:
 def cmd_evaluate(args) -> int:
     if args.out:
         _check_outputs([args.out], [*args.scores, args.labels])
-    with _out_of_memory(f"reading {args.labels}"):
-        labels = load_labels(args.labels)
     rows = []
-    for scores_path in args.scores:
-        with _out_of_memory(f"reading {scores_path}"):
-            matrix = load_scores(scores_path)
-            dataset = align([matrix], labels)
-        predictions = predict(fuse(dataset, equal_weights(1)))
-        report = metrics(confusion(predictions, dataset.labels))
-        rows.append(ReportRow.from_metrics(matrix.model_id, report))
+    with load_each(args.scores, args.labels) as datasets:
+        for dataset in datasets:
+            report = metrics(confusion(predict(fuse(dataset, equal_weights(1))), dataset.labels))
+            rows.append(ReportRow.from_metrics(dataset.model_ids[0], report))
     for row in rows:
         _print_row(row)
     if args.out:
@@ -218,8 +210,10 @@ def _parse_weights(text: str) -> WeightVector:
 
 def cmd_fuse(args) -> int:
     _check_outputs([args.out], [*args.scores, args.labels])
+    weights = _parse_weights(args.weights)
+    check_weight_count(weights, len(args.scores))
     dataset = load_aligned([(None, path) for path in args.scores], args.labels)
-    fused = fuse(dataset, _parse_weights(args.weights))
+    fused = fuse(dataset, weights)
     write_scores(ScoreMatrix("fused", fused.sample_ids, fused.fused), args.out)
     print(f"wrote fused scores for {dataset.num_samples} samples to {args.out}")
     return 0

@@ -20,9 +20,9 @@ NUL or ASCII separator (0x1C-0x1F) takes numpy's C reader
 file, and any file that reader rejects, is read by ``csv``, which also
 words every fault.
 
-:func:`load_aligned`, the loader of ``compare``, ``optimize`` and ``fuse``,
-reads the labels and then splits the score files between forked readers;
-a CSV of more than ``_WRITE_ROWS`` rows is formatted by forked formatters
+:func:`load_aligned` and :func:`load_each`, the loaders of every command,
+read the labels and then split the score files between forked readers; a
+CSV of more than ``_WRITE_ROWS`` rows is formatted by forked formatters
 (:mod:`fusionopt._fork`). Both give the bytes, values and messages of one
 process.
 """
@@ -530,23 +530,13 @@ def align(matrices, labels: LabelVector, split: str = "validation") -> FusionDat
                     [partial(_in_label_order, m, labels) for m in mats], labels, split)
 
 
-class _StageOutOfMemory(MemoryError):
-    """A MemoryError that :func:`_out_of_memory` has restated with its stage."""
-
-
 @contextmanager
 def _out_of_memory(stage: str):
-    """Restate a MemoryError raised inside as one line that names ``stage``.
-
-    One that an inner stage has restated already passes through as it is.
-    """
+    """Restate a MemoryError raised inside as one line that names ``stage``."""
     try:
         yield
-    except _StageOutOfMemory:
-        raise
     except MemoryError as exc:
-        raise _StageOutOfMemory(
-            f"out of memory {stage}" + (f": {exc}" if str(exc) else "")) from None
+        raise MemoryError(f"out of memory {stage}" + (f": {exc}" if str(exc) else "")) from None
 
 
 def _stacked(model_ids, calls, labels: LabelVector, split: str) -> FusionDataset:
@@ -583,35 +573,52 @@ def _stacked(model_ids, calls, labels: LabelVector, split: str) -> FusionDataset
 def _read_in_label_order(path: Path, model_id: str, labels: LabelVector):
     """One score file's rows in the labels' order, or the DataError its ids raise.
 
-    The file is read by :func:`load_scores`, which raises its own faults.
     Its ids are dropped on return, so only the float rows leave a reader.
     """
     with _out_of_memory(f"reading {path}"):
         return _in_label_order(load_scores(path, model_id), labels)
 
 
-def load_aligned(models, labels_path, split: str = "validation") -> FusionDataset:
-    """Read the labels, then each score file straight into its slot of the stack.
+@contextmanager
+def _readers(models, labels_path):
+    """A context of the labels, the model ids and one call per file that gives its rows.
 
     ``models`` holds ``(model_id, path)`` pairs; a None model id is the
-    file's stem, as in :func:`load_scores`. The labels' id index is built
-    once, here. The score files are then split between forked readers, at
-    most one process per usable CPU, this one included
-    (:func:`_fork.forked`). Each reader runs :func:`load_scores` on its files
-    in turn and places each file's rows in label order; only those rows
-    cross back, and this process copies them into the (M, N, K) stack.
-
-    The fault reported is the one :func:`load_labels`, then
-    :func:`load_scores` on each file in order, then :func:`align` would
-    raise. Out of memory while reading a file names that file.
+    file's stem. The labels are read first, then the files are split between
+    forked readers, at most one process per usable CPU, this one included
+    (:func:`_fork.forked`); each places a file's rows in label order, and
+    only those rows cross back. On leaving, every reader is reaped.
     """
     with _out_of_memory(f"reading {labels_path}"):
         labels = load_labels(labels_path)
     models = [(Path(path).stem if mid is None else mid, Path(path)) for mid, path in models]
-    labels.positions  # built before the readers fork, so they share it
+    if len(models) > 1:
+        labels.positions  # built before the readers fork, so they share it
     readers = [partial(_read_in_label_order, path, mid, labels) for mid, path in models]
     with forked(readers, [f"{path}: reader" for _, path in models], usable_cpus()) as calls:
-        return _stacked([mid for mid, _ in models], calls, labels, split)
+        yield labels, [mid for mid, _ in models], calls
+
+
+def load_aligned(models, labels_path, split: str = "validation") -> FusionDataset:
+    """Read the labels, then each score file straight into its slot of the stack.
+
+    The fault reported is the one :func:`load_labels`, then
+    :func:`load_scores` on each file in order, then :func:`align` would raise.
+    """
+    with _readers(models, labels_path) as (labels, model_ids, calls):
+        return _stacked(model_ids, calls, labels, split)
+
+
+@contextmanager
+def load_each(paths, labels_path):
+    """A context of one single-model dataset per score file, in order, each built when asked.
+
+    Each is what :func:`align` gives for its file alone, under the file's
+    stem, so the files may differ in class count.
+    """
+    with _readers([(None, path) for path in paths], labels_path) as (labels, model_ids, calls):
+        yield (_stacked([mid], [call], labels, "validation")
+               for mid, call in zip(model_ids, calls))
 
 
 def subset(dataset: FusionDataset, sample_ids, split: str) -> FusionDataset:

@@ -179,6 +179,35 @@ class TestEvaluate:
         rows = out.read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["m1", "m2"]
 
+    def test_files_with_different_class_counts_each_get_their_row(self, tmp_path, capsys):
+        # Each file is scored on its own, so a K=2 and a K=3 file may sit in
+        # one evaluate, where fuse would reject the pair.
+        (tmp_path / "k2.csv").write_text(
+            "sample_id,class_0,class_1\na,0.9,0.1\nb,0.6,0.4\nc,0.3,0.7\n", encoding="utf-8")
+        (tmp_path / "k3.csv").write_text(
+            "sample_id,class_0,class_1,class_2\nc,0.1,0.8,0.1\na,0.2,0.5,0.3\n"
+            "b,0.2,0.3,0.5\n", encoding="utf-8")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\na,0\nb,1\nc,1\n", encoding="utf-8")
+        single = {}
+        for name in ("k2", "k3"):
+            assert main(["evaluate", "--scores", str(tmp_path / f"{name}.csv"),
+                         "--labels", str(labels), "--out", str(tmp_path / f"{name}.out")]) == 0
+            single[name] = capsys.readouterr().out
+        out = tmp_path / "report.csv"
+        assert main(["evaluate", "--scores", str(tmp_path / "k2.csv"),
+                     "--scores", str(tmp_path / "k3.csv"),
+                     "--labels", str(labels), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == single["k2"] + single["k3"]
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert rows[1:] == [(tmp_path / f"{name}.out").read_text(encoding="utf-8").splitlines()[1]
+                            for name in ("k2", "k3")]
+        assert rows[1] == "k2,1.000000,0.500000,0.666667,0.666667,,"
+        assert main(["fuse", "--scores", str(tmp_path / "k2.csv"),
+                     "--scores", str(tmp_path / "k3.csv"), "--labels", str(labels),
+                     "--weights", "1,1", "--out", str(tmp_path / "fused.csv")]) == 1
+        assert capsys.readouterr().err == "error: model 'k3' has 3 classes, model 'k2' has 2\n"
+
 
 class TestFuse:
     def test_writes_loadable_fused_csv(self, tmp_path, capsys):
@@ -241,6 +270,29 @@ class TestFuse:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    # The weights are parsed and counted before any file is read, so their
+    # fault is reported over a fault in the files.
+    @pytest.mark.parametrize("weights, code, message", [
+        ("abc", 2, "could not parse --weights value 'abc'"),
+        ("1,2,3", 1, "got 3 weights for 2 models"),
+    ], ids=["unparsable", "count"])
+    def test_a_weights_fault_comes_before_a_file_fault(self, tmp_path, capsys, weights, code,
+                                                       message):
+        (tmp_path / "m1.csv").write_text("sample_id,class_0,class_1\na,0.9,0.3\n",
+                                         encoding="utf-8")
+        (tmp_path / "labels.csv").write_text("sample_id,label\na,0\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        for second in ("m1.csv", "absent.csv"):
+            assert main(["fuse", "--scores", str(tmp_path / "m1.csv"),
+                         "--scores", str(tmp_path / second),
+                         "--labels", str(tmp_path / "labels.csv"),
+                         "--weights", weights, "--out", str(out)]) == code
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+            assert not out.exists()
+
 
 class TestOptimize:
     def test_equal_method_reports_equal_weights(self, tmp_path, capsys):

@@ -177,6 +177,48 @@ def test_faults_in_several_files_come_in_file_order(tmp_path, capsys, monkeypatc
             1, f"error: {expected.value}\n")
 
 
+def _evaluate(paths, labels, out):
+    return ["evaluate", *(arg for path in paths for arg in ("--scores", str(path))),
+            "--labels", str(labels), "--out", str(out)]
+
+
+def test_evaluate_of_several_files_is_the_same_on_one_and_two_cpus(tmp_path, capsys,
+                                                                    monkeypatch):
+    _, paths, labels = _corpus(tmp_path / "corpus")
+    forks = _count_forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}" / "report.csv"
+        assert main(_evaluate(paths, labels, out)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        runs.append((captured.out, out.read_bytes()))
+    assert forks == [1]
+    assert runs[1] == runs[0]
+    assert [line.split(":")[0] for line in runs[0][0].splitlines()] == ["m0", "m1", "m2"]
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("case", [case for case in FAULTS if case != "classes"])
+def test_a_fault_in_the_third_file_of_evaluate_reads_the_same_on_both_paths(
+        tmp_path, capsys, monkeypatch, case):
+    # On two CPUs the parent reads m0 and a forked reader m1 and m2.
+    _, paths, labels = _corpus(tmp_path / "corpus")
+    paths[2].write_text(_fault(case, paths[2].read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(DataError) as expected:
+        align([load_scores(paths[2])], load_labels(labels))
+    forks = _count_forks(monkeypatch)
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}" / "report.csv"
+        assert main(_evaluate(paths, labels, out)) == 1
+        assert capsys.readouterr() == ("", f"error: {expected.value}\n")
+        assert not out.exists()
+    assert forks == [1]
+    assert _no_children_left()
+
+
 def test_labels_are_read_before_the_score_files(tmp_path, capsys, monkeypatch):
     # compare and optimize now read the labels first, as fuse always did,
     # so a labels fault is reported before a score file's.
