@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import logging
 
-import numpy as np
-
 from ..errors import ConfigError
+from ..fusion import equal_weights
 from . import brute_force as _brute_force
 from . import genetic as _genetic
 from . import nelder_mead as _nelder_mead
@@ -60,7 +59,7 @@ def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
     params = config.resolved()
     try:
         if config.method == "equal":
-            tracker.evaluate(np.full(n_models, 1.0 / n_models))
+            tracker.evaluate(equal_weights(n_models).values)
         elif config.method == "bf":
             _brute_force.run(tracker, n_models, config.grid_steps())
         elif config.method == "pso":

@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from ..errors import ConfigError
+from ..fusion import equal_weights
 from .common import EvaluationTracker, simplex_grid_size
 
 
@@ -28,7 +29,7 @@ def grid_candidates(steps: int, n_models: int):
     for bars in combinations(range(end), n_models - 1):
         yield np.array([(b - a - 1) / steps for a, b in zip((-1, *bars), (*bars, end))])
     if steps % n_models:
-        yield np.full(n_models, 1.0 / n_models)
+        yield equal_weights(n_models).values
 
 
 def run(tracker: EvaluationTracker, n_models: int, steps: int) -> None:

@@ -246,15 +246,6 @@ class EvaluationTracker:
         self.trace: list[tuple[int, float]] = []
         self._memo: dict[bytes, float] | None = {} if memo else None
 
-    def affordable(self, count: int) -> int:
-        """How many of ``count`` further candidates the budget can still evaluate.
-
-        A method that draws its first candidates in one go draws only this
-        many. A seeded draw of k rows is the prefix of a larger one, so the
-        rows drawn are the ones a full draw would have evaluated.
-        """
-        return min(count, self.max_evaluations - self.evaluations)
-
     def evaluate(self, candidate) -> float:
         if self.evaluations >= self.max_evaluations:
             raise BudgetExhausted
@@ -293,6 +284,20 @@ class EvaluationTracker:
             evaluations=self.evaluations,
             trace=tuple(self.trace),
         )
+
+
+def uniform_rows(tracker: EvaluationTracker, rng: np.random.Generator, count: int,
+                 n_models: int) -> tuple[np.ndarray, list[float]]:
+    """``count`` rows of ``rng.uniform`` and their errors, each row evaluated as it is drawn.
+
+    So the tracker's budget stops a draw larger than it; k seeded rows are
+    the first k of a larger draw.
+    """
+    rows, errors = [], []
+    for _ in range(count):
+        rows.append(rng.uniform(size=n_models))
+        errors.append(tracker.evaluate(rows[-1]))
+    return np.array(rows), errors
 
 
 def simplex_grid_size(steps: int, n_models: int) -> int:

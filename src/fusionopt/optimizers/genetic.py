@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import BudgetExhausted, EvaluationTracker, better, rank_key, rng_stream
+from .common import EvaluationTracker, better, rank_key, rng_stream, uniform_rows
 
 _SITE_INIT = 0
 _SITE_GENERATION_BASE = 1
@@ -41,13 +41,7 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
     elitism = params["elitism"]
     stall_window = params["stall_window"]
 
-    drawn = tracker.affordable(pop_size)
-    population = rng_stream(seed, _SITE_INIT).uniform(size=(drawn, n_models))
-    errors = [tracker.evaluate(x) for x in population]
-    if drawn < pop_size:
-        raise BudgetExhausted
-
-    best_seen = min(errors)
+    population, errors = uniform_rows(tracker, rng_stream(seed, _SITE_INIT), pop_size, n_models)
     stalled = 0
     for generation in range(generations):
         rng = rng_stream(seed, _SITE_GENERATION_BASE + generation)
@@ -74,15 +68,13 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
                 children.append(child)
         children = children[: pop_size - elitism]
 
+        # The tracker's best only falls, to the least error of any candidate
+        # so far; an all-zero or memo-answered child cannot lower it.
+        best_before = tracker.best_error
         child_errors = [tracker.evaluate(child) for child in children]
         population = np.array(elites + children)
         errors = elite_errors + child_errors
 
-        generation_best = min(errors)
-        if generation_best < best_seen:
-            best_seen = generation_best
-            stalled = 0
-        else:
-            stalled += 1
+        stalled = 0 if tracker.best_error != best_before else stalled + 1
         if stalled >= stall_window:
             break

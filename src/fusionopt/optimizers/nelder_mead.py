@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..fusion import equal_weights
 from .common import EvaluationTracker, rank_key
 
 
 def initial_simplex(n_models: int, offset: float) -> list[np.ndarray]:
     """Equal-weights start plus one per-axis offset vertex (flipped at the wall)."""
-    start = np.full(n_models, 1.0 / n_models)
+    start = equal_weights(n_models).values
     vertices = [start]
     for axis in range(n_models):
         vertex = start.copy()

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from ..fusion import equal_weights
 from .common import EvaluationTracker, rng_stream
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -44,35 +45,31 @@ def _line_minimize(tracker, x, direction, f_x, tolerance):
     if high - low <= tolerance:
         return x, f_x
 
-    def point(t: float) -> np.ndarray:
-        return (x + t * direction).clip(0.0, 1.0)
+    best_x, best_f = x, f_x
 
-    best_t, best_f = 0.0, f_x
+    def probe(t: float) -> float:
+        nonlocal best_x, best_f
+        point = (x + t * direction).clip(0.0, 1.0)
+        f = tracker.evaluate(point)
+        if f < best_f:
+            best_x, best_f = point, f
+        return f
+
     a, b = low, high
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    f_c = tracker.evaluate(point(c))
-    f_d = tracker.evaluate(point(d))
-    if f_c < best_f:
-        best_t, best_f = c, f_c
-    if f_d < best_f:
-        best_t, best_f = d, f_d
+    f_c = probe(c)
+    f_d = probe(d)
     while b - a > tolerance:
         if f_c < f_d:
             b, d, f_d = d, c, f_c
             c = b - _GOLDEN * (b - a)
-            f_c = tracker.evaluate(point(c))
-            if f_c < best_f:
-                best_t, best_f = c, f_c
+            f_c = probe(c)
         else:
             a, c, f_c = c, d, f_d
             d = a + _GOLDEN * (b - a)
-            f_d = tracker.evaluate(point(d))
-            if f_d < best_f:
-                best_t, best_f = d, f_d
-    if best_f < f_x:
-        return point(best_t), best_f
-    return x, f_x
+            f_d = probe(d)
+    return best_x, best_f
 
 
 def _minimize_from(tracker, start, line_tolerance, outer_tolerance, max_outer):
@@ -120,7 +117,7 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int | None, params: dic
     max_outer = params["max_outer_iterations"]
     for restart in range(restarts):
         if restart == 0:
-            start = np.full(n_models, 1.0 / n_models)
+            start = equal_weights(n_models).values
         else:
             start = rng_stream(seed, restart).uniform(size=n_models)
         _minimize_from(tracker, start, line_tolerance, outer_tolerance, max_outer)

@@ -8,9 +8,7 @@ the draw order can never depend on evaluation scheduling.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .common import BudgetExhausted, EvaluationTracker, better, rank_key, rng_stream
+from .common import EvaluationTracker, better, rank_key, rng_stream, uniform_rows
 
 _SITE_INIT_POSITIONS = 0
 _SITE_INIT_VELOCITIES = 1
@@ -25,16 +23,13 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
     social = params["social"]
     v_max = params["velocity_clamp"]
 
-    drawn = tracker.affordable(swarm_size)
-    positions = rng_stream(seed, _SITE_INIT_POSITIONS).uniform(size=(drawn, n_models))
-    velocities = rng_stream(seed, _SITE_INIT_VELOCITIES).uniform(
-        -v_max, v_max, size=(drawn, n_models)
+    positions, personal_error = uniform_rows(
+        tracker, rng_stream(seed, _SITE_INIT_POSITIONS), swarm_size, n_models
     )
-
     personal_best = positions.copy()
-    personal_error = [tracker.evaluate(x) for x in positions]
-    if drawn < swarm_size:
-        raise BudgetExhausted
+    velocities = rng_stream(seed, _SITE_INIT_VELOCITIES).uniform(
+        -v_max, v_max, size=(swarm_size, n_models)
+    )
 
     best_j = min(
         range(swarm_size), key=lambda j: rank_key(personal_error[j], personal_best[j])

@@ -161,6 +161,10 @@ class FusionDataset:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DataError(f"split must be one of {SPLITS}, got {self.split!r}")
+        expected = (self.num_models, self.num_samples)
+        if self.stack.ndim != 3 or self.stack.shape[:2] != expected:
+            raise DataError(f"score stack of shape {self.stack.shape} does not fit "
+                            f"(models, samples) = {expected}")
         top, k = int(self.labels.labels.max()), self.num_classes
         if top >= k:
             raise DataError(f"label {top} out of range for {k} classes")
@@ -421,7 +425,9 @@ def _label_fault(cells) -> str | None:
         label = _number(cells[0], int)
     except ValueError:
         return f"non-integer label {cells[0]!r}"
-    return f"negative label {label}" if label < 0 else None
+    if label < 0:
+        return f"negative label {label}"
+    return f"labels must be class indices int64 can hold, got {label}" if label >= 2 ** 63 else None
 
 
 def load_scores(path, model_id: str | None = None) -> ScoreMatrix:
@@ -599,14 +605,14 @@ def _readers(models, labels_path):
         yield labels, [mid for mid, _ in models], calls
 
 
-def load_aligned(models, labels_path, split: str = "validation") -> FusionDataset:
-    """Read the labels, then each score file straight into its slot of the stack.
+def load_aligned(models, labels_path) -> FusionDataset:
+    """Read the labels, then each score file straight into its slot of a validation stack.
 
     The fault reported is the one :func:`load_labels`, then
     :func:`load_scores` on each file in order, then :func:`align` would raise.
     """
     with _readers(models, labels_path) as (labels, model_ids, calls):
-        return _stacked(model_ids, calls, labels, split)
+        return _stacked(model_ids, calls, labels, "validation")
 
 
 @contextmanager

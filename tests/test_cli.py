@@ -105,8 +105,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("label", ["9223372036854775808", "9223372036854775809",
                                        "18446744073709551616"])
     @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
-    def test_label_past_int64_exits_one_without_a_report(self, tmp_path, capsys, label,
-                                                         first):
+    def test_label_past_int64_exits_one_at_its_line_without_a_report(self, tmp_path, capsys,
+                                                                     label, first):
         scores = tmp_path / "m.csv"
         labels = tmp_path / "labels.csv"
         scores.write_text("sample_id,class_0,class_1\na,0.9,0.1\nb,0.2,0.8\n",
@@ -118,7 +118,9 @@ class TestEvaluate:
                      "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == f"error: labels must be class indices int64 can hold, got {label}\n"
+        line = 2 if first else 3
+        assert captured.err == (f"error: {labels}:{line}: labels must be class indices "
+                                f"int64 can hold, got {label}\n")
         assert captured.out == ""
         assert not out.exists()
 

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +275,14 @@ class TestOptimizeContract:
             f"method '{method}' stopped at max_evaluations=100 before its search finished"
         ]
 
+    @pytest.mark.parametrize("method,param", [("pso", "swarm_size"), ("ga", "population_size")])
+    def test_a_draw_past_the_budget_evaluates_its_first_rows_in_order(self, method, param):
+        seen = []
+        cfg = OptimizerConfig(method=method, seed=9, params={param: 40}, max_evaluations=25)
+        optimize(lambda raw: seen.append(raw.copy()) or 0.5, 3, cfg)
+        expected = rng_stream(9, 0).uniform(size=(40, 3))[:25]
+        assert np.array(seen).tobytes() == expected.tobytes()
+
     def test_finished_search_does_not_warn(self, caplog):
         with caplog.at_level(logging.WARNING, logger="fusionopt.optimizers"):
             optimize(v_landscape, 2, OptimizerConfig(method="equal", max_evaluations=1))
@@ -280,6 +290,23 @@ class TestOptimizeContract:
                                                      max_evaluations=7))
             brute_force(v_landscape, 2, grid_step=0.5)
         assert caplog.records == []
+
+
+def test_only_the_tracker_checks_the_budget():
+    """``BudgetExhausted`` is raised in ``optimizers/common.py`` alone; no method counts ahead."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    raisers, names = set(), set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if "BudgetExhausted" in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                    raisers.add(path.relative_to(src).as_posix())
+            for field in ("id", "attr", "name", "arg"):
+                if isinstance(getattr(node, field, None), str):
+                    names.add(getattr(node, field))
+    assert raisers == {"fusionopt/optimizers/common.py"}
+    assert "affordable" not in names
 
 
 def vertex_landscape(raw):

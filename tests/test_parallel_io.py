@@ -91,14 +91,14 @@ def test_forked_and_in_process_loads_are_bit_identical(tmp_path, monkeypatch, n_
     forks = _count_forks(monkeypatch)
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
-        got = load_aligned(models, labels, split="test")
+        got = load_aligned(models, labels)
         assert len(forks) == min(n_models, cpus) - 1
         forks.clear()
         assert got.model_ids == public.model_ids
         assert got.sample_ids == ds.sample_ids
         assert got.stack.tobytes() == public.stack.tobytes()
         assert got.stack.shape == public.stack.shape
-        assert got.split == "test"
+        assert got.split == "validation"
         assert not got.stack.flags.writeable
     assert _no_children_left()
 

@@ -253,6 +253,16 @@ def test_fusion_dataset_rejects_an_unknown_split(split):
         FusionDataset(ds.model_ids, ds.stack, ds.labels, split)
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 2), (1, 4, 2), (3, 2)],
+                         ids=["more-models", "more-samples", "two-d"])
+def test_fusion_dataset_rejects_a_stack_that_does_not_fit_its_ids_and_labels(shape):
+    # One model id and three labels fit only a (1, 3, K) stack.
+    labels = LabelVector(("a", "b", "c"), [0, 1, 0])
+    message = f"score stack of shape {shape} does not fit (models, samples) = (1, 3)"
+    with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+        FusionDataset(("m",), np.full(shape, 0.5), labels, "validation")
+
+
 class TestAlign:
     def _pair(self):
         ids = ("a", "b", "c")
@@ -369,6 +379,14 @@ class TestLabels:
     def test_non_integer_label(self, tmp_path):
         path = _write(tmp_path, "labels.csv", "sample_id,label\na,1.5\n")
         with pytest.raises(DataError, match=r"labels\.csv:2"):
+            load_labels(path)
+
+    def test_label_past_int64_is_named_at_its_line_before_a_later_fault(self, tmp_path):
+        path = _write(tmp_path, "labels.csv",
+                      "sample_id,label\na,0\nb,9223372036854775808\nc,1\nd,-1\n")
+        message = (f"{path}:3: labels must be class indices int64 can hold, "
+                   "got 9223372036854775808")
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
             load_labels(path)
 
     def test_non_integer_label_after_blank_line_names_its_line(self, tmp_path):
