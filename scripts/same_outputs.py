@@ -4,9 +4,11 @@ Both sides run the same cases in turn in the same scratch folder, so any
 path an output names matches too: first the given commit's ``src/``, from
 a ``git archive`` checkout, then this tree's ``src/``. The cases:
 
-- ``compare`` on a copy of ``data/synthetic``, and ``optimize --method M
-  --seed 42`` there for every method;
+- ``compare`` on a copy of ``data/synthetic``, ``optimize --method M
+  --seed 42`` there for every method, and ``evaluate`` of its score files;
 - ``compare`` on the ``large-compare`` benchmark corpus of each seed;
+- ``fuse`` of the ``fuse-roundtrip`` benchmark corpus of each seed under the
+  benchmark's weights, then ``evaluate`` of the fused file;
 - ``pso`` and ``ga`` cut off by the evaluation budget: 40 initial rows
   under budgets 25, 40 and 41, and 10**7 under budget 100, printing each
   result JSON and the log records.
@@ -36,7 +38,7 @@ from bench_pairs import checkout, parse_seeds
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 import corpus  # noqa: E402  (bench/corpus.py writes corpora without fusionopt)
-from run import WORKLOADS  # noqa: E402
+from run import FUSE_WEIGHTS, WORKLOADS  # noqa: E402
 
 METHODS = ("equal", "bf", "pso", "ga", "powell", "nelder-mead")
 BUDGET_CASES = """
@@ -65,9 +67,20 @@ def cases(seeds: list[int]) -> dict[str, list[str]]:
         found[f"optimize-{method}"] = [
             *cli, "optimize", "--manifest", "synthetic/manifest.json", "--method", method,
             "--seed", "42", "--out", f"synthetic/optimize-{method}.csv"]
+    found["evaluate"] = [*cli, "evaluate", *(f"--scores=synthetic/model_{name}.csv"
+                                             for name in ("strong", "mid", "weak")),
+                         "--labels", "synthetic/labels.csv", "--out", "synthetic/evaluate.csv"]
+    _, (_, n_models, _), _ = WORKLOADS["fuse-roundtrip"]
     for seed in seeds:
         found[f"large-compare-{seed}"] = [*cli, "compare", "--manifest",
                                           f"large-{seed}/manifest.json"]
+        fuse = f"fuse-{seed}"
+        labels = ["--labels", f"{fuse}/labels.csv"]
+        found[fuse] = [*cli, "fuse", *(f"--scores={fuse}/model_{m}.csv"
+                                       for m in range(n_models)),
+                       *labels, "--weights", FUSE_WEIGHTS, "--out", f"{fuse}/fused.csv"]
+        found[f"evaluate-{fuse}"] = [*cli, "evaluate", "--scores", f"{fuse}/fused.csv", *labels,
+                                     "--out", f"{fuse}/evaluate.csv"]
     found["budget"] = ["-c", BUDGET_CASES]
     return found
 
@@ -98,12 +111,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     _, shape, search = WORKLOADS["large-compare"]
+    _, fuse_shape, _ = WORKLOADS["fuse-roundtrip"]
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         work = Path(tmp)
         inputs = work / "inputs"
         shutil.copytree(ROOT / "data" / "synthetic", inputs / "synthetic")
         for seed in seeds:
             corpus.write_corpus(inputs / f"large-{seed}", seed, *shape, search=search)
+            corpus.write_corpus(inputs / f"fuse-{seed}", seed, *fuse_shape)
         checkout(args.parent, work / "parent")
         run_side(work / "parent" / "src", inputs, work / "before", seeds)
         run_side(ROOT / "src", inputs, work / "after", seeds)

@@ -67,7 +67,6 @@ from .scoreio import (
 )
 from .textprep import (
     TextSample,
-    Translator,
     augment_backtranslate,
     clean_text,
     identity_translator,

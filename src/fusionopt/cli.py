@@ -38,7 +38,7 @@ from ._fork import forked, usable_cpus
 from .errors import FusionOptError, UsageError
 from .fusion import WeightVector, check_weight_count, equal_weights, fuse, predict
 from .objective import OBJECTIVE_VARIANTS, check_variant, confusion, make_objective, metrics
-from .optimizers import METHODS, OptimizerConfig, optimize, write_result_json
+from .optimizers import METHODS, OptimizerConfig, check_search, optimize, write_result_json
 from .scoreio import (
     REPORT_HEADER,
     ReportRow,
@@ -107,6 +107,8 @@ def _run(manifest_path, manifest, methods, seed, grid_step, variant, out, json_p
     configs = [own if method == own.method else
                OptimizerConfig(method=method, seed=seed, grid_step=grid_step)
                for method in methods]
+    for config in (own, *configs):
+        check_search(config, len(manifest.models))
     validation, test = load_manifest_splits(manifest)
     objective = make_objective(validation, variant)
     results, rows = [], []

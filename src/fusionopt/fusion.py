@@ -163,9 +163,6 @@ class WeightVector:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def __iter__(self):
-        return iter(self.values)
-
     def __reduce__(self):
         # A copy loaded from a pickle, as a forked search sends it, is
         # checked and made read-only like the original.
@@ -200,10 +197,6 @@ class FusedScores:
         arr.setflags(write=False)
         object.__setattr__(self, "fused", arr)
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.fused.shape[1])
 
 
 def class_indices(values, error: type[FusionOptError], what: str) -> np.ndarray:

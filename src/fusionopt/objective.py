@@ -27,13 +27,12 @@ OBJECTIVE_VARIANTS = ("fused_accuracy", "score_mass")
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """Binary confusion counts with respect to one positive class."""
+    """Binary confusion counts with respect to ``POSITIVE_CLASS``."""
 
     tp: int
     fp: int
     fn: int
     tn: int
-    positive_class: int = POSITIVE_CLASS
 
     def __post_init__(self):
         for name in ("tp", "fp", "fn", "tn"):
@@ -54,22 +53,21 @@ class MetricsReport:
     confusion: ConfusionCounts
 
 
-def confusion(predictions, labels, positive_class: int = POSITIVE_CLASS) -> ConfusionCounts:
+def confusion(predictions, labels) -> ConfusionCounts:
     """Count tp/fp/fn/tn of ``predictions`` against ``labels``.
 
-    Classes other than ``positive_class`` all count as negative, so the
+    Classes other than ``POSITIVE_CLASS`` all count as negative, so the
     counts are one-vs-rest for multi-class data.
     """
     if tuple(predictions.sample_ids) != tuple(labels.sample_ids):
         raise DataError("predictions and labels are not aligned on the same sample_ids")
-    pred_pos = predictions.predicted == positive_class
-    true_pos = labels.labels == positive_class
+    pred_pos = predictions.predicted == POSITIVE_CLASS
+    true_pos = labels.labels == POSITIVE_CLASS
     return ConfusionCounts(
         tp=int(np.sum(pred_pos & true_pos)),
         fp=int(np.sum(pred_pos & ~true_pos)),
         fn=int(np.sum(~pred_pos & true_pos)),
         tn=int(np.sum(~pred_pos & ~true_pos)),
-        positive_class=positive_class,
     )
 
 

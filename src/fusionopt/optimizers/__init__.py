@@ -26,7 +26,6 @@ from .common import (
     EvaluationTracker,
     OptimizerConfig,
     OptResult,
-    result_to_dict,
     result_to_json,
     rng_stream,
     simplex_grid_size,
@@ -35,12 +34,27 @@ from .common import (
 
 __all__ = [
     "METHODS", "STOCHASTIC_METHODS", "DEFAULT_GRID_STEP", "DEFAULT_MAX_EVALUATIONS",
-    "OptimizerConfig", "OptResult", "optimize", "brute_force",
-    "result_to_dict", "result_to_json", "write_result_json",
+    "OptimizerConfig", "OptResult", "optimize", "check_search", "brute_force",
+    "result_to_json", "write_result_json",
     "rng_stream", "simplex_grid_size", "EvaluationTracker", "BudgetExhausted",
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def check_search(config: OptimizerConfig, n_models: int) -> None:
+    """What a search needs beyond its config: a model, and a bf grid within the budget."""
+    if n_models < 1:
+        raise ConfigError("need at least one model to optimize over")
+    if config.method == "bf":
+        # Counted exactly, before the search: the grid, plus equal weights if off it.
+        steps = config.grid_steps()
+        count = simplex_grid_size(steps, n_models) + bool(steps % n_models)
+        if count > config.max_evaluations:
+            raise ConfigError(
+                f"method 'bf': brute-force search holds {count} candidates, exceeding the "
+                f"evaluation budget of {config.max_evaluations}"
+            )
 
 
 def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
@@ -52,8 +66,7 @@ def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
     A search the budget cuts off keeps its best candidate so far and logs a
     warning, so it cannot pass for a finished one.
     """
-    if n_models < 1:
-        raise ConfigError("need at least one model to optimize over")
+    check_search(config, n_models)
     # Grid points never repeat, so a memo for bf would only hold memory.
     tracker = EvaluationTracker(objective, config.max_evaluations, memo=config.method != "bf")
     params = config.resolved()

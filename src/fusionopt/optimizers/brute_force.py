@@ -13,9 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..fusion import equal_weights
-from .common import EvaluationTracker, simplex_grid_size
+from .common import EvaluationTracker
 
 
 def grid_candidates(steps: int, n_models: int):
@@ -33,12 +32,5 @@ def grid_candidates(steps: int, n_models: int):
 
 
 def run(tracker: EvaluationTracker, n_models: int, steps: int) -> None:
-    # Count the candidates exactly before generating any of them.
-    count = simplex_grid_size(steps, n_models) + bool(steps % n_models)
-    if count > tracker.max_evaluations:
-        raise ConfigError(
-            f"brute-force search holds {count} candidates, exceeding the evaluation "
-            f"budget of {tracker.max_evaluations}"
-        )
     for candidate in grid_candidates(steps, n_models):
         tracker.evaluate(candidate)

@@ -186,19 +186,15 @@ class OptResult:
     trace: tuple[tuple[int, float], ...]
 
 
-def result_to_dict(result: OptResult) -> dict:
-    return {
+def result_to_json(result: OptResult) -> str:
+    return json.dumps({
         "method": result.method,
         "seed": result.seed,
         "best_error": float(result.best_error),
         "best_weights": [float(w) for w in result.best_weights.values],
         "evaluations": int(result.evaluations),
         "trace": [[int(i), float(e)] for i, e in result.trace],
-    }
-
-
-def result_to_json(result: OptResult) -> str:
-    return json.dumps(result_to_dict(result), indent=2) + "\n"
+    }, indent=2) + "\n"
 
 
 def write_result_json(result: OptResult, path) -> None:

@@ -211,7 +211,6 @@ def _first_repeat(ids) -> tuple[int, int] | None:
         first = seen.setdefault(sid, row)
         if first != row:
             return row, first
-    return None
 
 
 @contextmanager

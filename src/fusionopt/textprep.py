@@ -16,7 +16,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable
 
 from .errors import AugmentationError, DataError
 from .optimizers.common import check_seed, rng_stream
@@ -53,12 +53,6 @@ class TextSample:
             raise DataError("sample_id must be non-empty")
         if self.label < 0:
             raise DataError(f"sample '{self.sample_id}': negative label")
-
-
-class Translator(Protocol):
-    """Contract for translation backends: (text, source_lang, target_lang) -> text."""
-
-    def __call__(self, text: str, source_lang: str, target_lang: str) -> str: ...
 
 
 def identity_translator(text: str, source_lang: str, target_lang: str) -> str:
@@ -135,7 +129,7 @@ def augment_backtranslate(
     """Append a translated copy of every source-language sample.
 
     Labels are preserved; the new samples carry derived sample_ids and the
-    target language tag. Translator failures surface the offending sample.
+    target language tag. A translator failure is raised naming the offending sample.
     """
     out = list(samples)
     for sample in samples:

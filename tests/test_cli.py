@@ -525,6 +525,9 @@ BAD_SETTINGS = {
     "grid-step-0.3": ({"grid_step": 0.3}, 1,
                       "method 'bf': grid_step 0.3 must divide 1 into a whole number of steps"),
     "negative-seed": ({"seed": -1}, 1, "seed must be an unsigned 64-bit integer"),
+    "grid-over-budget": ({"grid_step": 0.001}, 1,
+                         "method 'bf': brute-force search holds 501502 candidates, "
+                         "exceeding the evaluation budget of 100000"),
     "unknown-objective": ({"objective": "recall"}, 1,
                           "unknown objective variant 'recall'; expected one of "
                           "fused_accuracy, score_mass"),

@@ -18,7 +18,7 @@ from fusionopt.optimizers import (
     result_to_json,
     simplex_grid_size,
 )
-from fusionopt.optimizers import genetic
+from fusionopt.optimizers import genetic, pso
 from fusionopt.optimizers.brute_force import grid_candidates
 from fusionopt.optimizers.common import BudgetExhausted, EvaluationTracker, rank_key, rng_stream
 from fusionopt.optimizers.nelder_mead import run as nm_run
@@ -548,6 +548,25 @@ class TestGenetic:
             winner = min(contenders, key=lambda i: rank_key(errors[i], population[i]))
             assert got.tobytes() == population[winner].tobytes()
             assert ours.random() == reference.random()  # the same draws were taken
+
+
+class TestPSO:
+    @pytest.mark.parametrize("n_models", [1, 2, 3])
+    def test_no_particle_stays_on_the_all_zero_point_of_a_flat_landscape(self, n_models):
+        # Every candidate scores 1.0, so an all-zero position ties every best.
+        # It is never a best, so a particle there is pulled off it at once.
+        params = OptimizerConfig(method="pso", seed=0, params={
+            "swarm_size": 5, "iterations": 30, "inertia": 0.0}).resolved()
+        for seed in range(20):
+            tracker = EvaluationTracker(lambda raw: 1.0, 10_000)
+            zero = []
+            evaluate = tracker.evaluate
+            tracker.evaluate = lambda x: zero.append(not x.any()) or evaluate(x)
+            pso.run(tracker, n_models, seed, params)
+            assert len(zero) == 5 * 31
+            rows = np.array(zero).reshape(31, 5)
+            assert not rows[0].any()
+            assert not (rows[1:] & rows[:-1]).any(), seed
 
 
 class TestPowell:

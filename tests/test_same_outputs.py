@@ -6,12 +6,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_differences_names_changed_missing_and_extra_files(tmp_path, monkeypatch):
+def _script(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     spec = importlib.util.spec_from_file_location("same_outputs",
                                                   ROOT / "scripts" / "same_outputs.py")
     same_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_outputs)
+    return same_outputs
+
+
+def test_each_seed_fuses_its_corpus_before_evaluating_the_fused_file(monkeypatch):
+    found = _script(monkeypatch).cases([1])
+    names = list(found)
+    assert "evaluate" in names
+    assert names.index("fuse-1") < names.index("evaluate-fuse-1")
+    fused = found["fuse-1"][found["fuse-1"].index("--out") + 1]
+    assert found["evaluate-fuse-1"][found["evaluate-fuse-1"].index("--scores") + 1] == fused
+
+
+def test_differences_names_changed_missing_and_extra_files(tmp_path, monkeypatch):
+    same_outputs = _script(monkeypatch)
     sides = {"before": {"same": b"x", "changed": b"1", "only-before": b""},
              "after": {"same": b"x", "changed": b"2", "sub/only-after": b""}}
     for side, files in sides.items():
