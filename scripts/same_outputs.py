@@ -11,7 +11,10 @@ a ``git archive`` checkout, then this tree's ``src/``. The cases:
   benchmark's weights, then ``evaluate`` of the fused file;
 - ``pso`` and ``ga`` cut off by the evaluation budget: 40 initial rows
   under budgets 25, 40 and 41, and 10**7 under budget 100, printing each
-  result JSON and the log records.
+  result JSON and any log records;
+- ``compare`` on a copy of ``data/synthetic`` whose manifest gives ``pso`` a
+  swarm one larger than the default budget, so the command warns that the
+  budget cut ``pso`` off.
 
 Every file a case writes must match, and so must its stdout and stderr.
 
@@ -26,6 +29,7 @@ exits 1.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -82,7 +86,18 @@ def cases(seeds: list[int]) -> dict[str, list[str]]:
         found[f"evaluate-{fuse}"] = [*cli, "evaluate", "--scores", f"{fuse}/fused.csv", *labels,
                                      "--out", f"{fuse}/evaluate.csv"]
     found["budget"] = ["-c", BUDGET_CASES]
+    found["budget-compare"] = [*cli, "compare", "--manifest", "budget/manifest.json",
+                               "--out", "budget/comparison.csv"]
     return found
+
+
+def write_budget_corpus(into: Path) -> None:
+    """A copy of ``data/synthetic`` at ``into`` whose manifest runs ``pso`` past the budget."""
+    shutil.copytree(ROOT / "data" / "synthetic", into)
+    manifest = json.loads((into / "manifest.json").read_text(encoding="utf-8"))
+    # A swarm one larger than the default budget of 100,000 evaluations.
+    manifest.update(method="pso", params={"swarm_size": 100_001, "iterations": 1})
+    (into / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def run_side(src: Path, inputs: Path, into: Path, seeds: list[int]) -> None:
@@ -116,6 +131,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         inputs = work / "inputs"
         shutil.copytree(ROOT / "data" / "synthetic", inputs / "synthetic")
+        write_budget_corpus(inputs / "budget")
         for seed in seeds:
             corpus.write_corpus(inputs / f"large-{seed}", seed, *shape, search=search)
             corpus.write_corpus(inputs / f"fuse-{seed}", seed, *fuse_shape)

@@ -9,7 +9,6 @@ tasks here, one by one, with no child.
 
 from __future__ import annotations
 
-import logging
 import os
 import pickle
 import select
@@ -51,9 +50,9 @@ def forked(tasks, names, ways: int):
     another, the smallest first. Each share but the first starts at once in
     a child of its own, which runs its tasks in order and stops at the first
     that raises. The first share runs here, each task when its call is
-    made. A call to a child's task waits for the child, replays the
-    ``fusionopt`` log records the task emitted, then returns or raises as the
-    task did; an unexpected error keeps the child's traceback as its cause.
+    made. A task's outcome is its value or its error: a call to a child's
+    task waits for the child, then returns or raises as the task did; an
+    unexpected error keeps the child's traceback as its cause.
     So the calls give what running the tasks here in order gives, as long as
     the caller stops at the first call that raises.
 
@@ -99,18 +98,6 @@ def forked(tasks, names, ways: int):
         signal.signal(signal.SIGTERM, previous)
 
 
-class _Records(logging.Handler):
-    """Keeps each record, its message merged with its args so that it pickles."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        self.records.append(record)
-
-
 class _ChildTraceback(Exception):
     """The traceback of an error raised in a child process, set as its cause."""
 
@@ -131,21 +118,15 @@ def _fork(share, names, children):
         status = 1
         try:
             os.close(read_fd)
-            handler = _Records()
-            package = logging.getLogger("fusionopt")
-            package.handlers, package.propagate = [handler], False
-            values, error, records = [], None, []
+            values, error = [], None
             for task, name in zip(share, names):
                 try:
                     values.append(task())
                 except BaseException as exc:  # the parent raises it
                     error = _portable(exc, name), traceback.format_exc()
-                records.append(handler.records)
-                handler.records = []
-                if error is not None:
                     break
             with open(write_fd, "wb") as fh:
-                pickle.dump((values, error, records), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump((values, error), fh, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -162,9 +143,7 @@ def _fork(share, names, children):
                 ended = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise ChildProcessError(f"{name} process {ended} before it sent a result")
             outcome.append(pickle.loads(data))
-        values, error, records = outcome[0]
-        for record in records[i]:
-            logging.getLogger(record.name).handle(record)
+        values, error = outcome[0]
         if i < len(values):
             return values[i]
         raise error[0] from _ChildTraceback(error[1])

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import logging
 import sys
 from dataclasses import replace
 from functools import partial
@@ -62,6 +63,8 @@ from .textprep import (
 
 COMPARISON_ORDER = METHODS
 
+logger = logging.getLogger(__name__)
+
 
 def _check_outputs(outputs, inputs) -> None:
     """A usage error if an output path names an input file; paths are compared resolved."""
@@ -85,9 +88,9 @@ def _run(manifest_path, manifest, methods, seed, grid_step, variant, out, json_p
     With more than one method, on Linux with more than one usable CPU and
     numpy on OpenBLAS, the first search runs here and each other in a forked
     process of its own, all on one OpenBLAS thread (:func:`_searches`);
-    otherwise each runs here in turn. Either way the outcomes are taken in
-    ``methods`` order, so output, errors and log records come out as from a
-    serial run.
+    otherwise each runs here in turn. Either way a search's outcome is its
+    result or its error, taken in ``methods`` order, so output, errors and
+    the warning for a search the budget cut off come out as from a serial run.
     Forking cannot change a bit: each search has its own evaluation tracker,
     draws only from its own counter-based ``rng_stream(seed, site)``, and
     reads the objective's tables without writing them. A child inherits the
@@ -118,6 +121,9 @@ def _run(manifest_path, manifest, methods, seed, grid_step, variant, out, json_p
                 result = outcome()
             except FusionOptError as exc:
                 raise type(exc)(f"method '{config.method}': {exc}") from exc
+            if result.stop_reason == "budget_exhausted":
+                logger.warning("method '%s' stopped at max_evaluations=%d before its search "
+                               "finished", config.method, config.max_evaluations)
             report = metrics(confusion(predict(fuse(test, result.best_weights)), test.labels))
             row = ReportRow.from_metrics(config.method, report, objective=result.best_error,
                                          weights=result.best_weights.values)
@@ -216,7 +222,10 @@ def cmd_fuse(args) -> int:
     check_weight_count(weights, len(args.scores))
     dataset = load_aligned([(None, path) for path in args.scores], args.labels)
     fused = fuse(dataset, weights)
-    write_scores(ScoreMatrix("fused", fused.sample_ids, fused.fused), args.out)
+    # Rounding can lift a score a few ulps past 1.0; such a value is its
+    # row's one maximum, so clipping it keeps every argmax.
+    scores = np.minimum(fused.fused, 1.0)
+    write_scores(ScoreMatrix("fused", fused.sample_ids, scores), args.out)
     print(f"wrote fused scores for {dataset.num_samples} samples to {args.out}")
     return 0
 

@@ -8,8 +8,6 @@ Identical configurations, seed included, reproduce results bit-identically.
 
 from __future__ import annotations
 
-import logging
-
 from ..errors import ConfigError
 from ..fusion import equal_weights
 from . import brute_force as _brute_force
@@ -39,9 +37,6 @@ __all__ = [
     "rng_stream", "simplex_grid_size", "EvaluationTracker", "BudgetExhausted",
 ]
 
-logger = logging.getLogger(__name__)
-
-
 def check_search(config: OptimizerConfig, n_models: int) -> None:
     """What a search needs beyond its config: a model, and a bf grid within the budget."""
     if n_models < 1:
@@ -63,8 +58,8 @@ def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
     ``objective`` maps a raw nonnegative weight vector to an error in [0, 1]
     and must normalize internally, as the scorer that
     :func:`fusionopt.objective.make_objective` returns does.
-    A search the budget cuts off keeps its best candidate so far and logs a
-    warning, so it cannot pass for a finished one.
+    A search the budget cuts off returns its best candidate so far with
+    ``stop_reason="budget_exhausted"``, so it cannot pass for a finished one.
     """
     check_search(config, n_models)
     # Grid points never repeat, so a memo for bf would only hold memory.
@@ -84,8 +79,7 @@ def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
         else:  # nelder-mead; config validation rejects anything else
             _nelder_mead.run(tracker, n_models, params)
     except BudgetExhausted:
-        logger.warning("method '%s' stopped at max_evaluations=%d before its search finished",
-                       config.method, config.max_evaluations)
+        return tracker.result(config.method, config.seed, stop_reason="budget_exhausted")
     return tracker.result(config.method, config.seed)
 
 

@@ -176,6 +176,8 @@ class OptResult:
 
     ``trace`` holds (evaluation index, best-so-far error) pairs recorded at
     every improvement, so the error column is non-increasing by construction.
+    ``stop_reason`` is ``"budget_exhausted"`` when the evaluation budget cut
+    the search off, and ``None`` when the method's own rule stopped it.
     """
 
     method: str
@@ -184,6 +186,7 @@ class OptResult:
     best_error: float
     evaluations: int
     trace: tuple[tuple[int, float], ...]
+    stop_reason: str | None = None
 
 
 def result_to_json(result: OptResult) -> str:
@@ -204,7 +207,7 @@ def write_result_json(result: OptResult, path) -> None:
 
 
 def rank_key(error: float, candidate) -> tuple:
-    """The tie rule: lower error first, then the lexicographically smaller vector."""
+    """The tie rule: lower error first, then the lexicographically smaller raw candidate."""
     return (error, tuple(candidate))
 
 
@@ -267,7 +270,7 @@ class EvaluationTracker:
             self.best_raw = raw.copy()  # a tie moves the vector, not the trace
         return error
 
-    def result(self, method: str, seed: int | None) -> OptResult:
+    def result(self, method: str, seed: int | None, stop_reason: str | None = None) -> OptResult:
         if self.best_raw is None:
             raise ConfigError(
                 f"method '{method}' finished without evaluating any feasible candidate"
@@ -279,6 +282,7 @@ class EvaluationTracker:
             best_error=self.best_error,
             evaluations=self.evaluations,
             trace=tuple(self.trace),
+            stop_reason=stop_reason,
         )
 
 

@@ -20,6 +20,7 @@ from fusionopt.errors import ConfigError, DataError, InvalidWeightsError
 from fusionopt.scoreio import LabelVector, ScoreMatrix, load_scores, write_labels, write_scores
 from fusionopt.textprep import TextSample, read_samples, write_samples
 
+from conftest import count_forks, no_children_left, set_cpus
 from synthdata import random_dataset, tiered_dataset
 
 
@@ -229,6 +230,21 @@ class TestFuse:
         assert fused.model_id == "fused"
         np.testing.assert_allclose(fused.scores, [[0.5, 0.5], [0.5, 0.5]],
                                    rtol=0, atol=1e-12)
+
+    def test_a_fused_score_rounded_past_one_is_written_as_one(self, tmp_path, capsys):
+        # These weights' exact_simplex entries sum, left to right, to
+        # 1.0000000000000002, and so does the fused score of class_0.
+        scores = []
+        for m in range(3):
+            scores += ["--scores", str(tmp_path / f"m{m}.csv")]
+            (tmp_path / f"m{m}.csv").write_text("sample_id,class_0,class_1\na,1.0,0.0\n",
+                                                encoding="utf-8")
+        (tmp_path / "labels.csv").write_text("sample_id,label\na,0\n", encoding="utf-8")
+        out = tmp_path / "fused.csv"
+        assert main(["fuse", *scores, "--labels", str(tmp_path / "labels.csv"), "--weights",
+                     "0.3496275081022046,0.5966239869061449,0.05374850499165053",
+                     "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "a,1.0,0.0"
 
     def test_weight_count_mismatch_exits_one(self, tmp_path, capsys):
         (tmp_path / "m1.csv").write_text(
@@ -625,23 +641,6 @@ class TestThreadedBlas:
 BUNDLED_MANIFEST = Path(__file__).resolve().parents[1] / "data" / "synthetic" / "manifest.json"
 
 
-def _cpus(monkeypatch, n):
-    """Make ``compare`` see ``n`` usable CPUs: one runs its searches in-process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def _count_forks(monkeypatch):
-    forks = []
-    real = os.fork
-
-    def fork():
-        forks.append(1)
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
 def _search_pids(monkeypatch, tmp_path):
     """Record the process each search runs in; returns a call that reads ``{method: pid}``.
 
@@ -679,12 +678,6 @@ def _compare_outputs(main_argv, out, capsys):
         p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
 
 
-def _no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
 @pytest.mark.skipif(not (sys.platform == "linux" and cli._openblas_threads()),
                     reason="searches fork only on Linux, with numpy on OpenBLAS")
 class TestForkedSearches:
@@ -703,7 +696,7 @@ class TestForkedSearches:
         pids = _search_pids(monkeypatch, tmp_path)
         runs = []
         for cpus, forked in ((2, list(COMPARISON_ORDER[1:])), (1, [])):
-            _cpus(monkeypatch, cpus)
+            set_cpus(monkeypatch, cpus)
             out = tmp_path / f"cpus{cpus}" / "cmp.csv"
             out.parent.mkdir()
             runs.append(_compare_outputs(
@@ -714,11 +707,11 @@ class TestForkedSearches:
         assert runs[0][0] == 0
         assert len(runs[0][3]) == 7
         assert runs[0] == runs[1]
-        assert _no_children_left()
+        assert no_children_left()
 
     def test_optimize_runs_its_one_search_in_process(self, tmp_path, capsys, monkeypatch):
         pids = _search_pids(monkeypatch, tmp_path)
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         assert main(["optimize", "--manifest", str(BUNDLED_MANIFEST),
                      "--out", str(tmp_path / "r.csv")]) == 0
         assert pids() == {"bf": os.getpid()}
@@ -726,7 +719,7 @@ class TestForkedSearches:
     def test_compare_runs_in_process_where_blas_threads_cannot_be_set(
             self, tmp_path, capsys, monkeypatch):
         pids = _search_pids(monkeypatch, tmp_path)
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         monkeypatch.setattr(cli, "_openblas_threads", lambda: [])
         assert main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                      "--out", str(tmp_path / "r.csv")]) == 0
@@ -737,7 +730,7 @@ class TestForkedSearches:
         from fusionopt.optimizers import OptimizerConfig
         from fusionopt.scoreio import load_manifest, load_manifest_splits
 
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         validation, _ = load_manifest_splits(load_manifest(BUNDLED_MANIFEST))
         configs = [OptimizerConfig(method=m, seed=1) for m in ("equal", "pso")]
         with cli._searches(make_objective(validation), validation.num_models,
@@ -746,21 +739,21 @@ class TestForkedSearches:
         assert [r.method for r in results] == ["equal", "pso"]
         for result in results:
             assert not result.best_weights.values.flags.writeable
-        assert _no_children_left()
+        assert no_children_left()
 
-    def test_log_records_come_out_in_method_order(self, tmp_path):
-        # Run as a program, so that records reach stderr through a handler of
-        # its own, as they would in a script that configures logging.
+    def test_a_budget_cut_off_warns_once_on_one_and_two_cpus(self, tmp_path):
+        # Run as a program, so that the warning reaches stderr as it does for
+        # a user. A swarm one larger than the default budget of 100,000 cuts
+        # pso off, which runs in a child on two CPUs.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(BUNDLED_MANIFEST.parent, corpus)
+        manifest = corpus / "manifest.json"
+        body = json.loads(manifest.read_text(encoding="utf-8"))
+        body.update(method="pso", params={"swarm_size": 100_001, "iterations": 1})
+        manifest.write_text(json.dumps(body), encoding="utf-8")
         program = (
-            "import logging, os, sys\n"
+            "import os, sys\n"
             "import fusionopt.cli as cli\n"
-            "logging.basicConfig(format='%(name)s: %(message)s')\n"
-            "real = cli.optimize\n"
-            "def optimize(objective, n_models, config):\n"
-            "    logging.getLogger('fusionopt.optimizers').warning("
-            "'searching with %s', config.method)\n"
-            "    return real(objective, n_models, config)\n"
-            "cli.optimize = optimize\n"
             "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
             "print('unflushed before the searches')\n"
             "raise SystemExit(cli.main(sys.argv[2:]))\n"
@@ -770,14 +763,15 @@ class TestForkedSearches:
             out = tmp_path / f"cpus{cpus}" / "cmp.csv"
             run = subprocess.run(
                 [sys.executable, "-c", program, cpus, "compare",
-                 "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)],
+                 "--manifest", str(manifest), "--out", str(out)],
                 capture_output=True, text=True, timeout=120, env=_module_env())
             assert run.returncode == 0, run.stderr
             runs.append((run.stdout, run.stderr,
                          {p.name: p.read_bytes() for p in out.parent.iterdir()}))
-        assert runs[0][1] == "".join(
-            f"fusionopt.optimizers: searching with {m}\n" for m in COMPARISON_ORDER)
+        assert runs[0][1] == (
+            "method 'pso' stopped at max_evaluations=100000 before its search finished\n")
         assert runs[0][0].count("unflushed before the searches") == 1
+        assert len(runs[0][2]) == 7
         assert runs[0] == runs[1]
 
     def test_one_thread_searches_match_threaded_in_process_ones(self, tmp_path):
@@ -841,7 +835,7 @@ class TestForkedSearches:
             raise InvalidWeightsError("powell went wrong")
 
         self._failing_search(monkeypatch, {"ga": ga, "powell": powell})
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         out = tmp_path / "out" / "cmp.csv"
         code = main(["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)])
         captured = capsys.readouterr()
@@ -849,7 +843,7 @@ class TestForkedSearches:
         assert captured.err == "error: method 'ga': ga went wrong\n"
         assert [line.split(":")[0] for line in captured.out.splitlines()] == ["equal", "pso"]
         assert not out.parent.exists()
-        assert _no_children_left()
+        assert no_children_left()
 
     @pytest.mark.parametrize("death, ended", [
         (lambda: os.kill(os.getpid(), signal.SIGKILL),
@@ -866,7 +860,7 @@ class TestForkedSearches:
             death()
 
         self._failing_search(monkeypatch, {"ga": ga})
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         out = tmp_path / "out" / "cmp.csv"
         code = main(["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)])
         captured = capsys.readouterr()
@@ -875,7 +869,7 @@ class TestForkedSearches:
             f"error: method 'ga': search process {ended} before it sent a result\n")
         assert [line.split(":")[0] for line in captured.out.splitlines()] == ["equal", "pso"]
         assert not out.parent.exists()
-        assert _no_children_left()
+        assert no_children_left()
 
     def test_an_interrupt_in_the_parent_kills_the_running_searches(self, tmp_path, capsys,
                                                                    monkeypatch):
@@ -887,13 +881,13 @@ class TestForkedSearches:
 
         self._failing_search(monkeypatch, {"bf": bf})
         monkeypatch.setattr(cli, "_print_row", interrupted)
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                   "--out", str(tmp_path / "cmp.csv")])
         assert time.monotonic() - start < 30
-        assert _no_children_left()
+        assert no_children_left()
 
     def test_a_signal_just_after_a_reap_kills_no_stranger(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -911,12 +905,12 @@ class TestForkedSearches:
 
         monkeypatch.setattr(os, "waitpid", waitpid)
         monkeypatch.setattr(os, "kill", lambda pid, sig: (killed.append(pid), real_kill(pid, sig)))
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         with pytest.raises(KeyboardInterrupt):
             main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                   "--out", str(tmp_path / "cmp.csv")])
         assert len(reaped) == 1 and reaped[0] not in killed
-        assert _no_children_left()
+        assert no_children_left()
 
     def test_sigterm_to_the_parent_kills_the_running_searches(self, tmp_path):
         # A job scheduler's timeout sends SIGTERM; no search may outlive compare.
@@ -996,7 +990,7 @@ class TestForkedSearches:
         assert not (tmp_path / "out").exists()
 
     def test_sigterm_handler_is_restored(self, tmp_path, capsys, monkeypatch):
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
 
         def handler(signum, frame):
             pass
@@ -1020,10 +1014,10 @@ class TestForkedSearches:
         # or EMFILE; the searches not yet started then run in the parent.
         out = tmp_path / "in-process" / "cmp.csv"
         out.parent.mkdir()
-        _cpus(monkeypatch, 1)
+        set_cpus(monkeypatch, 1)
         expected = _compare_outputs(
             ["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(out)], out, capsys)
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         pids = _search_pids(monkeypatch, tmp_path)
         calls, real = [], getattr(os, call)
 
@@ -1042,11 +1036,11 @@ class TestForkedSearches:
         assert got == expected
         assert sorted(os.listdir("/proc/self/fd")) == descriptors
         assert _in_children(pids()) == forked
-        assert _no_children_left()
+        assert no_children_left()
 
     def test_compare_from_another_thread_runs_in_process(self, tmp_path, capsys, monkeypatch):
-        _cpus(monkeypatch, 2)
-        forks = _count_forks(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
         codes = []
         thread = threading.Thread(target=lambda: codes.append(main(
             ["compare", "--manifest", str(BUNDLED_MANIFEST), "--out", str(tmp_path / "c.csv")])))
@@ -1064,7 +1058,7 @@ class TestForkedSearches:
             raise ConfigError(f"openblas threads {threads}, tasks {tasks}")
 
         self._failing_search(monkeypatch, {"ga": ga})
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         # Two threads in the parent, whatever this host's CPU count.
         controls = cli._openblas_threads()
         threads = [get() for get, _ in controls]
@@ -1079,7 +1073,7 @@ class TestForkedSearches:
                 set_threads(count)
         assert capsys.readouterr().err == (
             f"error: method 'ga': openblas threads {[1] * len(controls)}, tasks 1\n")
-        assert _no_children_left()
+        assert no_children_left()
 
     def test_an_unexpected_error_keeps_the_search_traceback(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -1087,14 +1081,14 @@ class TestForkedSearches:
             return [][0]
 
         self._failing_search(monkeypatch, {"ga": ga})
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         with pytest.raises(IndexError) as info:
             main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                   "--out", str(tmp_path / "cmp.csv")])
         cause = str(info.value.__cause__)
         assert "Traceback (most recent call last)" in cause
         assert "in ga\n    return [][0]" in cause
-        assert _no_children_left()
+        assert no_children_left()
 
     def test_an_error_that_cannot_be_pickled_is_named(self, tmp_path, capsys, monkeypatch):
         class Local(Exception):
@@ -1104,7 +1098,7 @@ class TestForkedSearches:
             raise Local("not importable")
 
         self._failing_search(monkeypatch, {"ga": ga})
-        _cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError) as info:
             main(["compare", "--manifest", str(BUNDLED_MANIFEST),
                   "--out", str(tmp_path / "cmp.csv")])
@@ -1112,7 +1106,7 @@ class TestForkedSearches:
             "method 'ga': search raised Local('not importable'), which cannot be pickled")
         assert "in ga\n    raise Local" in str(info.value.__cause__)
         assert not (tmp_path / "cmp.csv").exists()
-        assert _no_children_left()
+        assert no_children_left()
 
 
 class TestManifestEdges:

@@ -1,6 +1,5 @@
 import ast
 import itertools
-import logging
 import math
 from pathlib import Path
 
@@ -256,24 +255,17 @@ class TestOptimizeContract:
         with pytest.raises(ConfigError):
             optimize(v_landscape, 0, OptimizerConfig(method="bf"))
 
-    def test_budget_cut_off_warns(self, caplog):
+    def test_budget_cut_off_sets_the_stop_reason(self):
         cfg = OptimizerConfig(method="pso", seed=3, max_evaluations=50)
-        with caplog.at_level(logging.WARNING, logger="fusionopt.optimizers"):
-            optimize(v_landscape, 2, cfg)
-        assert [r.getMessage() for r in caplog.records] == [
-            "method 'pso' stopped at max_evaluations=50 before its search finished"
-        ]
+        assert optimize(v_landscape, 2, cfg).stop_reason == "budget_exhausted"
 
     @pytest.mark.parametrize("method,param", [("pso", "swarm_size"), ("ga", "population_size")])
-    def test_huge_initial_draw_stops_at_the_budget(self, method, param, caplog):
+    def test_huge_initial_draw_stops_at_the_budget(self, method, param):
         cfg = OptimizerConfig(method=method, seed=1, params={param: 10 ** 15},
                               max_evaluations=100)
-        with caplog.at_level(logging.WARNING, logger="fusionopt.optimizers"):
-            result = optimize(v_landscape, 2, cfg)
+        result = optimize(v_landscape, 2, cfg)
         assert result.evaluations == 100
-        assert [r.getMessage() for r in caplog.records] == [
-            f"method '{method}' stopped at max_evaluations=100 before its search finished"
-        ]
+        assert result.stop_reason == "budget_exhausted"
 
     @pytest.mark.parametrize("method,param", [("pso", "swarm_size"), ("ga", "population_size")])
     def test_a_draw_past_the_budget_evaluates_its_first_rows_in_order(self, method, param):
@@ -283,13 +275,17 @@ class TestOptimizeContract:
         expected = rng_stream(9, 0).uniform(size=(40, 3))[:25]
         assert np.array(seen).tobytes() == expected.tobytes()
 
-    def test_finished_search_does_not_warn(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="fusionopt.optimizers"):
-            optimize(v_landscape, 2, OptimizerConfig(method="equal", max_evaluations=1))
+    def test_finished_search_has_no_stop_reason(self):
+        # equal and this bf grid use their whole budget, yet finish within it.
+        results = [
+            optimize(v_landscape, 2, OptimizerConfig(method="equal", max_evaluations=1)),
             optimize(v_landscape, 2, OptimizerConfig(method="bf", grid_step=0.25,
-                                                     max_evaluations=7))
-            brute_force(v_landscape, 2, grid_step=0.5)
-        assert caplog.records == []
+                                                     max_evaluations=5)),
+            brute_force(v_landscape, 2, grid_step=0.5),
+            optimize(v_landscape, 2, _small_cfg("pso")),
+            optimize(v_landscape, 2, _small_cfg("ga")),
+        ]
+        assert [r.stop_reason for r in results] == [None] * len(results)
 
 
 def test_only_the_tracker_checks_the_budget():

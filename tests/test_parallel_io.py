@@ -28,30 +28,10 @@ from fusionopt.scoreio import (
     write_scores,
 )
 
+from conftest import count_forks, no_children_left, set_cpus
 from synthdata import random_dataset
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="reads and writes fork on Linux")
-
-
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def _count_forks(monkeypatch):
-    forks, real = [], os.fork
-
-    def fork():
-        forks.append(1)
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def _no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
 
 
 def _corpus(root, n_models=3, n_samples=40, n_classes=3, seed=0, in_order=()):
@@ -88,9 +68,9 @@ def test_forked_and_in_process_loads_are_bit_identical(tmp_path, monkeypatch, n_
     ds, paths, labels = _corpus(tmp_path, n_models=n_models, in_order=(1,))
     models = [(f"model {m}", path) for m, path in enumerate(paths)]
     public = align([load_scores(path, mid) for mid, path in models], load_labels(labels))
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     for cpus in (1, 2, 3):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         got = load_aligned(models, labels)
         assert len(forks) == min(n_models, cpus) - 1
         forks.clear()
@@ -100,12 +80,12 @@ def test_forked_and_in_process_loads_are_bit_identical(tmp_path, monkeypatch, n_
         assert got.stack.shape == public.stack.shape
         assert got.split == "validation"
         assert not got.stack.flags.writeable
-    assert _no_children_left()
+    assert no_children_left()
 
 
 def test_a_model_id_of_none_is_the_file_stem(tmp_path, monkeypatch):
     _, paths, labels = _corpus(tmp_path)
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     assert load_aligned([(None, path) for path in paths], labels).model_ids == (
         "m0", "m1", "m2")
 
@@ -143,16 +123,16 @@ def test_a_fault_in_a_later_file_reads_the_same_on_both_paths(tmp_path, capsys, 
     paths[2].write_text(_fault(case, paths[2].read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(DataError) as expected:
         align([load_scores(path) for path in paths], load_labels(labels))
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     runs = []
     for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}" / "fused.csv"
         runs.append(_run(_fuse(paths, labels, out), capsys))
         assert not out.exists()
     assert forks == [1]
     assert runs == [(1, f"error: {expected.value}\n")] * 2
-    assert _no_children_left()
+    assert no_children_left()
 
 
 # A read fault in a later file comes before an id fault in an earlier one,
@@ -172,7 +152,7 @@ def test_faults_in_several_files_come_in_file_order(tmp_path, capsys, monkeypatc
     with pytest.raises(DataError) as expected:
         align([load_scores(path) for path in paths], load_labels(labels))
     for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         assert _run(_fuse(paths, labels, tmp_path / "f.csv"), capsys) == (
             1, f"error: {expected.value}\n")
 
@@ -185,10 +165,10 @@ def _evaluate(paths, labels, out):
 def test_evaluate_of_several_files_is_the_same_on_one_and_two_cpus(tmp_path, capsys,
                                                                     monkeypatch):
     _, paths, labels = _corpus(tmp_path / "corpus")
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     runs = []
     for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}" / "report.csv"
         assert main(_evaluate(paths, labels, out)) == 0
         captured = capsys.readouterr()
@@ -197,7 +177,7 @@ def test_evaluate_of_several_files_is_the_same_on_one_and_two_cpus(tmp_path, cap
     assert forks == [1]
     assert runs[1] == runs[0]
     assert [line.split(":")[0] for line in runs[0][0].splitlines()] == ["m0", "m1", "m2"]
-    assert _no_children_left()
+    assert no_children_left()
 
 
 @pytest.mark.parametrize("case", [case for case in FAULTS if case != "classes"])
@@ -208,15 +188,15 @@ def test_a_fault_in_the_third_file_of_evaluate_reads_the_same_on_both_paths(
     paths[2].write_text(_fault(case, paths[2].read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(DataError) as expected:
         align([load_scores(paths[2])], load_labels(labels))
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}" / "report.csv"
         assert main(_evaluate(paths, labels, out)) == 1
         assert capsys.readouterr() == ("", f"error: {expected.value}\n")
         assert not out.exists()
     assert forks == [1]
-    assert _no_children_left()
+    assert no_children_left()
 
 
 def test_labels_are_read_before_the_score_files(tmp_path, capsys, monkeypatch):
@@ -232,7 +212,7 @@ def test_labels_are_read_before_the_score_files(tmp_path, capsys, monkeypatch):
         encoding="utf-8")
     expected = f"error: {labels}:42: negative label -1\n"
     for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         for argv in (["optimize", "--manifest", str(manifest)],
                      ["compare", "--manifest", str(manifest)],
                      _fuse(paths, labels, tmp_path / "f.csv")):
@@ -256,13 +236,13 @@ def test_out_of_memory_in_a_reader_is_one_error_line(tmp_path, capsys, monkeypat
     # reader on two.
     _, paths, labels = _corpus(tmp_path / "corpus", in_order=(0,))
     _fail_allocation(monkeypatch, (40, 3), "cannot allocate 40 x 3")
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         assert _run(_fuse(paths, labels, tmp_path / "f.csv"), capsys) == (
             2, f"error: out of memory reading {paths[1]}: cannot allocate 40 x 3\n")
     assert forks == [1]
-    assert _no_children_left()
+    assert no_children_left()
 
 
 def _fail_loadtxt(monkeypatch, dtype, message):
@@ -287,14 +267,14 @@ def test_out_of_memory_reading_the_labels_names_them_in_every_command(tmp_path, 
     _fail_loadtxt(monkeypatch, np.int64, "cannot allocate 40 x 1")
     expected = (2, f"error: out of memory reading {labels}: cannot allocate 40 x 1\n")
     for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         for argv in (["evaluate", "--scores", str(paths[0]), "--labels", str(labels)],
                      _fuse(paths, labels, tmp_path / "f.csv"),
                      ["optimize", "--manifest", str(manifest)],
                      ["compare", "--manifest", str(manifest)]):
             assert _run(argv, capsys) == expected
     assert not (tmp_path / "f.csv").exists()
-    assert _no_children_left()
+    assert no_children_left()
 
 
 @pytest.mark.parametrize("where", ["parse", "placement", "stack"])
@@ -322,13 +302,13 @@ def test_out_of_memory_for_the_stack_names_its_shape(tmp_path, capsys, monkeypat
     _fail_allocation(monkeypatch, (3, 40, 3), "")
     message = "out of memory allocating the (M, N, K) = (3, 40, 3) score stack"
     for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         assert _run(_fuse(paths, labels, tmp_path / "f.csv"), capsys) == (
             2, f"error: {message}\n")
     with pytest.raises(MemoryError) as caught:
         align(matrices, label_vector)
     assert str(caught.value) == message
-    assert _no_children_left()
+    assert no_children_left()
 
 
 def test_a_reader_that_dies_is_named_and_reaped(tmp_path, capsys, monkeypatch):
@@ -341,22 +321,22 @@ def test_a_reader_that_dies_is_named_and_reaped(tmp_path, capsys, monkeypatch):
         return real(path, model_id)
 
     monkeypatch.setattr(scoreio, "load_scores", load_scores)
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     assert _run(_fuse(paths, labels, tmp_path / "f.csv"), capsys) == (2, (
         f"error: {paths[1]}: reader process killed by signal {int(signal.SIGKILL)} "
         "before it sent a result\n"))
-    assert _no_children_left()
+    assert no_children_left()
 
 
 @pytest.mark.parametrize("call", ["fork", "pipe"])
 def test_a_failed_fork_or_pipe_reads_and_writes_in_process(tmp_path, monkeypatch, call):
     _, paths, labels = _corpus(tmp_path / "corpus", n_samples=3 * scoreio._WRITE_ROWS)
     models = [(None, path) for path in paths]
-    _cpus(monkeypatch, 1)
+    set_cpus(monkeypatch, 1)
     expected = load_aligned(models, labels)
     write_scores(expected.matrices[0], tmp_path / "in-process.csv")
-    _cpus(monkeypatch, 2)
-    forks = _count_forks(monkeypatch)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
 
     def limited(*args):
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
@@ -369,7 +349,7 @@ def test_a_failed_fork_or_pipe_reads_and_writes_in_process(tmp_path, monkeypatch
     assert forks == []
     assert got.stack.tobytes() == expected.stack.tobytes()
     assert (tmp_path / "limited.csv").read_bytes() == (tmp_path / "in-process.csv").read_bytes()
-    assert _no_children_left()
+    assert no_children_left()
 
 
 @pytest.mark.parametrize("sid", ["a,b", "c\rd", 'q"uote', "line\nend"])
@@ -379,10 +359,10 @@ def test_a_quoted_id_in_a_forked_block_is_written_the_same(tmp_path, monkeypatch
     ids[n - 3] = sid
     scores = np.random.default_rng(1).dirichlet(np.ones(3), n)
     matrix = ScoreMatrix("m", ids, scores)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     written = []
     for cpus in (1, 2, 3):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         path = tmp_path / f"cpus{cpus}.csv"
         write_scores(matrix, path)
         written.append(path.read_bytes())
@@ -391,4 +371,4 @@ def test_a_quoted_id_in_a_forked_block_is_written_the_same(tmp_path, monkeypatch
     back = load_scores(tmp_path / "cpus2.csv")
     assert back.sample_ids == matrix.sample_ids
     assert back.scores.tobytes() == matrix.scores.tobytes()
-    assert _no_children_left()
+    assert no_children_left()

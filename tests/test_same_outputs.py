@@ -1,6 +1,7 @@
 """``scripts/same_outputs.py`` names every output that is not byte-identical on both sides."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,3 +36,15 @@ def test_differences_names_changed_missing_and_extra_files(tmp_path, monkeypatch
     assert same_outputs.differences(tmp_path / "before", tmp_path / "after") == [
         "changed", "only-before", "sub/only-after"]
     assert same_outputs.differences(tmp_path / "before", tmp_path / "before") == []
+
+
+def test_the_budget_corpus_runs_pso_past_the_default_budget(tmp_path, monkeypatch):
+    from fusionopt.optimizers import DEFAULT_MAX_EVALUATIONS
+
+    same_outputs = _script(monkeypatch)
+    same_outputs.write_budget_corpus(tmp_path / "budget")
+    manifest = json.loads((tmp_path / "budget" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["method"] == "pso"
+    assert manifest["params"]["swarm_size"] > DEFAULT_MAX_EVALUATIONS
+    case = same_outputs.cases([1])["budget-compare"]
+    assert case[case.index("--manifest") + 1] == "budget/manifest.json"
