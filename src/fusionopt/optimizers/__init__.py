@@ -37,6 +37,7 @@ __all__ = [
     "rng_stream", "simplex_grid_size", "EvaluationTracker", "BudgetExhausted",
 ]
 
+
 def check_search(config: OptimizerConfig, n_models: int) -> None:
     """What a search needs beyond its config: a model, and a bf grid within the budget."""
     if n_models < 1:
