@@ -11,7 +11,8 @@ a ``git archive`` checkout, then this tree's ``src/``. The cases:
   benchmark's weights, then ``evaluate`` of the fused file;
 - ``pso`` and ``ga`` cut off by the evaluation budget: 40 initial rows
   under budgets 25, 40 and 41, and 10**7 under budget 100, printing each
-  result JSON and any log records;
+  result JSON, its ``stop_reason`` (None where the commit has none) and any
+  log records, so a change that breaks the budget stop shows as a difference;
 - ``compare`` on a copy of ``data/synthetic`` whose manifest gives ``pso`` a
   swarm one larger than the default budget, so the command warns that the
   budget cut ``pso`` off.
@@ -58,7 +59,8 @@ for method, param in (("pso", "swarm_size"), ("ga", "population_size")):
         print(f"{method}: {rows} rows, budget {budget}", flush=True)
         config = OptimizerConfig(method=method, seed=42, max_evaluations=budget,
                                  params={param: rows})
-        print(result_to_json(optimize(objective, validation.num_models, config)), flush=True)
+        result = optimize(objective, validation.num_models, config)
+        print(result_to_json(result), getattr(result, "stop_reason", None), flush=True)
 """
 
 

@@ -37,7 +37,14 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+# The signals _terminate took since forked installed it. CPython may run the
+# handler inside an os.register_at_fork hook, such as logging's, and drops
+# what it raises there; so forked checks this after each fork.
+_received: list[int] = []
+
+
 def _terminate(signum, frame):
+    _received.append(signum)
     raise SystemExit(128 + signum)
 
 
@@ -60,8 +67,9 @@ def forked(tasks, names, ways: int):
     "method 'ga': search". A child that dies before it sends its outcome
     raises ChildProcessError. A share whose process cannot be started (a
     process or descriptor limit) runs here instead, as does every share
-    after it. On leaving, also through SIGTERM, any child still running is
-    killed, and every child is reaped.
+    after it. On leaving, also through SIGTERM (one that arrives during a
+    fork included), any child still running is killed, and every child is
+    reaped.
     """
     tasks = list(tasks)
     ways = min(ways, len(tasks)) if usable_cpus() > 1 else 1
@@ -74,6 +82,7 @@ def forked(tasks, names, ways: int):
     sys.stdout.flush()
     sys.stderr.flush()
     children: dict[int, int] = {}  # pid -> read end of its pipe
+    _received.clear()
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         calls = tasks[:sizes[0]]
@@ -83,6 +92,9 @@ def forked(tasks, names, ways: int):
                 collect = _fork(tasks[start:start + size], names[start:start + size], children)
             except OSError:
                 break
+            finally:  # the new child, if any, is in children, so it is killed below
+                if _received:
+                    raise SystemExit(128 + _received[0])
             calls += [partial(collect, i, name)
                       for i, name in enumerate(names[start:start + size])]
         yield calls + tasks[len(calls):]

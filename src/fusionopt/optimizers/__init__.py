@@ -72,13 +72,13 @@ def optimize(objective, n_models: int, config: OptimizerConfig) -> OptResult:
         elif config.method == "bf":
             _brute_force.run(tracker, n_models, config.grid_steps())
         elif config.method == "pso":
-            _pso.run(tracker, n_models, config.seed, params)
+            _pso.run(tracker, n_models, config.seed, **params)
         elif config.method == "ga":
-            _genetic.run(tracker, n_models, config.seed, params)
+            _genetic.run(tracker, n_models, config.seed, **params)
         elif config.method == "powell":
-            _powell.run(tracker, n_models, config.seed, params)
+            _powell.run(tracker, n_models, config.seed, **params)
         else:  # nelder-mead; config validation rejects anything else
-            _nelder_mead.run(tracker, n_models, params)
+            _nelder_mead.run(tracker, n_models, **params)
     except BudgetExhausted:
         return tracker.result(config.method, config.seed, stop_reason="budget_exhausted")
     return tracker.result(config.method, config.seed)

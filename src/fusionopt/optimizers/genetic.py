@@ -31,27 +31,21 @@ def _tournament(rng, rows, errors, size: int) -> np.ndarray:
     return np.array(rows[winner])
 
 
-def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> None:
-    pop_size = params["population_size"]
-    generations = params["generations"]
-    tournament_size = params["tournament_size"]
-    crossover_prob = params["crossover_prob"]
-    mutation_prob = params["mutation_prob"]
-    sigma = params["mutation_sigma"]
-    elitism = params["elitism"]
-    stall_window = params["stall_window"]
-
-    population, errors = uniform_rows(tracker, rng_stream(seed, _SITE_INIT), pop_size, n_models)
+def run(tracker: EvaluationTracker, n_models: int, seed: int, *, population_size: int,
+        generations: int, tournament_size: int, crossover_prob: float, mutation_prob: float,
+        mutation_sigma: float, elitism: int, stall_window: int) -> None:
+    population, errors = uniform_rows(
+        tracker, rng_stream(seed, _SITE_INIT), population_size, n_models)
     stalled = 0
     for generation in range(generations):
         rng = rng_stream(seed, _SITE_GENERATION_BASE + generation)
         rows = population.tolist()
-        ranked = sorted(range(pop_size), key=lambda i: rank_key(errors[i], rows[i]))
+        ranked = sorted(range(population_size), key=lambda i: rank_key(errors[i], rows[i]))
         elites = [population[i].copy() for i in ranked[:elitism]]
         elite_errors = [errors[i] for i in ranked[:elitism]]
 
         children: list[np.ndarray] = []
-        while len(children) < pop_size - elitism:
+        while len(children) < population_size - elitism:
             parent_a = _tournament(rng, rows, errors, tournament_size)
             parent_b = _tournament(rng, rows, errors, tournament_size)
             if rng.random() < crossover_prob:
@@ -62,11 +56,11 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
                 child_a, child_b = parent_a, parent_b
             for child in (child_a, child_b):
                 mutate = rng.random(n_models) < mutation_prob
-                noise = rng.normal(0.0, sigma, n_models)
+                noise = rng.normal(0.0, mutation_sigma, n_models)
                 if mutate.any():  # else the child is kept as it is
                     child = np.where(mutate, (child + noise).clip(0.0, 1.0), child)
                 children.append(child)
-        children = children[: pop_size - elitism]
+        children = children[: population_size - elitism]
 
         # The tracker's best only falls, to the least error of any candidate
         # so far; an all-zero or memo-answered child cannot lower it.

@@ -29,31 +29,26 @@ def initial_simplex(n_models: int, offset: float) -> list[np.ndarray]:
     return vertices
 
 
-def run(tracker: EvaluationTracker, n_models: int, params: dict, on_iteration=None) -> None:
-    alpha = params["reflection"]
-    gamma = params["expansion"]
-    rho = params["contraction"]
-    sigma = params["shrink"]
-    tolerance = params["spread_tolerance"]
-    max_iterations = params["max_iterations"]
-
-    vertices = initial_simplex(n_models, params["initial_offset"])
+def run(tracker: EvaluationTracker, n_models: int, *, reflection: float, expansion: float,
+        contraction: float, shrink: float, initial_offset: float, spread_tolerance: float,
+        max_iterations: int, on_iteration=None) -> None:
+    vertices = initial_simplex(n_models, initial_offset)
     errors = [tracker.evaluate(v) for v in vertices]
 
     for _ in range(max_iterations):
         order = sorted(range(len(vertices)), key=lambda i: rank_key(errors[i], vertices[i]))
         vertices = [vertices[i] for i in order]
         errors = [errors[i] for i in order]
-        if errors[-1] - errors[0] < tolerance:
+        if errors[-1] - errors[0] < spread_tolerance:
             break
 
         centroid = np.mean(vertices[:-1], axis=0)
         worst = vertices[-1]
-        reflected = (centroid + alpha * (centroid - worst)).clip(0.0, 1.0)
+        reflected = (centroid + reflection * (centroid - worst)).clip(0.0, 1.0)
         f_reflected = tracker.evaluate(reflected)
 
         if f_reflected < errors[0]:
-            expanded = (centroid + gamma * (centroid - worst)).clip(0.0, 1.0)
+            expanded = (centroid + expansion * (centroid - worst)).clip(0.0, 1.0)
             f_expanded = tracker.evaluate(expanded)
             if f_expanded < f_reflected:
                 vertices[-1], errors[-1] = expanded, f_expanded
@@ -64,14 +59,14 @@ def run(tracker: EvaluationTracker, n_models: int, params: dict, on_iteration=No
         else:
             shrink_needed = False
             if f_reflected < errors[-1]:
-                contracted = (centroid + rho * (reflected - centroid)).clip(0.0, 1.0)
+                contracted = (centroid + contraction * (reflected - centroid)).clip(0.0, 1.0)
                 f_contracted = tracker.evaluate(contracted)
                 if f_contracted <= f_reflected:
                     vertices[-1], errors[-1] = contracted, f_contracted
                 else:
                     shrink_needed = True
             else:
-                contracted = (centroid + rho * (worst - centroid)).clip(0.0, 1.0)
+                contracted = (centroid + contraction * (worst - centroid)).clip(0.0, 1.0)
                 f_contracted = tracker.evaluate(contracted)
                 if f_contracted < errors[-1]:
                     vertices[-1], errors[-1] = contracted, f_contracted
@@ -79,7 +74,7 @@ def run(tracker: EvaluationTracker, n_models: int, params: dict, on_iteration=No
                     shrink_needed = True
             if shrink_needed:
                 for i in range(1, len(vertices)):
-                    step = sigma * (vertices[i] - vertices[0])
+                    step = shrink * (vertices[i] - vertices[0])
                     vertices[i] = (vertices[0] + step).clip(0.0, 1.0)
                     errors[i] = tracker.evaluate(vertices[i])
 

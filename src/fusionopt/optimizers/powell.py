@@ -72,12 +72,12 @@ def _line_minimize(tracker, x, direction, f_x, tolerance):
     return best_x, best_f
 
 
-def _minimize_from(tracker, start, line_tolerance, outer_tolerance, max_outer):
+def _minimize_from(tracker, start, line_tolerance, outer_tolerance, max_outer_iterations):
     n = start.size
     directions = [np.eye(n)[i] for i in range(n)]
     x = start.copy()
     f_x = tracker.evaluate(x)
-    for _ in range(max_outer):
+    for _ in range(max_outer_iterations):
         f_start = f_x
         x_start = x.copy()
         biggest_drop = 0.0
@@ -110,14 +110,11 @@ def _minimize_from(tracker, start, line_tolerance, outer_tolerance, max_outer):
                     directions[-1] = new_direction
 
 
-def run(tracker: EvaluationTracker, n_models: int, seed: int | None, params: dict) -> None:
-    restarts = params["restarts"]
-    line_tolerance = params["line_tolerance"]
-    outer_tolerance = params["outer_tolerance"]
-    max_outer = params["max_outer_iterations"]
+def run(tracker: EvaluationTracker, n_models: int, seed: int | None, *, restarts: int,
+        line_tolerance: float, outer_tolerance: float, max_outer_iterations: int) -> None:
     for restart in range(restarts):
         if restart == 0:
             start = equal_weights(n_models).values
         else:
             start = rng_stream(seed, restart).uniform(size=n_models)
-        _minimize_from(tracker, start, line_tolerance, outer_tolerance, max_outer)
+        _minimize_from(tracker, start, line_tolerance, outer_tolerance, max_outer_iterations)

@@ -17,20 +17,15 @@ _SITE_INIT_VELOCITIES = 1
 _SITE_ITERATION_BASE = 2
 
 
-def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> None:
-    swarm_size = params["swarm_size"]
-    iterations = params["iterations"]
-    inertia = params["inertia"]
-    cognitive = params["cognitive"]
-    social = params["social"]
-    v_max = params["velocity_clamp"]
-
+def run(tracker: EvaluationTracker, n_models: int, seed: int, *, swarm_size: int,
+        iterations: int, inertia: float, cognitive: float, social: float,
+        velocity_clamp: float) -> None:
     positions, personal_error = uniform_rows(
         tracker, rng_stream(seed, _SITE_INIT_POSITIONS), swarm_size, n_models
     )
     personal_best = positions.copy()
     velocities = rng_stream(seed, _SITE_INIT_VELOCITIES).uniform(
-        -v_max, v_max, size=(swarm_size, n_models)
+        -velocity_clamp, velocity_clamp, size=(swarm_size, n_models)
     )
 
     for iteration in range(iterations):
@@ -43,7 +38,7 @@ def run(tracker: EvaluationTracker, n_models: int, seed: int, params: dict) -> N
             + cognitive * r_cognitive * (personal_best - positions)
             + social * r_social * (tracker.best_raw - positions)
         )
-        velocities.clip(-v_max, v_max, out=velocities)
+        velocities.clip(-velocity_clamp, velocity_clamp, out=velocities)
         positions = (positions + velocities).clip(0.0, 1.0)
         for j, x in enumerate(positions):
             error = tracker.evaluate(x)

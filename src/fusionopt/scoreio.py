@@ -662,6 +662,13 @@ class Manifest:
 MANIFEST_KEYS = frozenset(f.name for f in fields(Manifest))
 
 
+def _text(path: Path, key: str, value) -> str:
+    """``value`` of a string-valued manifest key; any other JSON value is an error."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: '{key}' must be a string, got {json.dumps(value)}")
+    return value
+
+
 def load_manifest(path) -> Manifest:
     """Read a manifest, checking its shape, keys, model entries and referenced paths."""
     path = Path(path)
@@ -690,7 +697,8 @@ def load_manifest(path) -> Manifest:
                 f"{path}: each model entry must be an object with exactly "
                 f"{sorted(MODEL_ENTRY_KEYS)}"
             )
-        models.append((str(entry["id"]), base / str(entry["scores_path"])))
+        models.append((_text(path, "id", entry["id"]),
+                       base / _text(path, "scores_path", entry["scores_path"])))
     ids = [m[0] for m in models]
     repeat = _first_repeat(ids)
     if repeat is not None:
@@ -698,17 +706,17 @@ def load_manifest(path) -> Manifest:
 
     validation_ids_path = raw.get("validation_ids_path")
     if validation_ids_path is not None:
-        validation_ids_path = base / str(validation_ids_path)
+        validation_ids_path = base / _text(path, "validation_ids_path", validation_ids_path)
 
     manifest = Manifest(
         models=tuple(models),
-        labels_path=base / str(raw["labels_path"]),
-        method=str(raw["method"]),
-        output=base / str(raw["output"]),
+        labels_path=base / _text(path, "labels_path", raw["labels_path"]),
+        method=_text(path, "method", raw["method"]),
+        output=base / _text(path, "output", raw["output"]),
         params=raw.get("params", {}),
         seed=raw.get("seed"),
         grid_step=raw.get("grid_step", DEFAULT_GRID_STEP),
-        objective=str(raw.get("objective", "fused_accuracy")),
+        objective=_text(path, "objective", raw.get("objective", "fused_accuracy")),
         validation_ids_path=validation_ids_path,
     )
     referenced = [p for _, p in manifest.models] + [manifest.labels_path, validation_ids_path]

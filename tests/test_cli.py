@@ -585,6 +585,14 @@ class TestRunSettings:
         assert captured.err == f"error: {message}\n"
         assert list(tmp_path.glob("r*")) == []
 
+    def test_numeric_output_is_a_config_error(self, tmp_path, capsys):
+        # str(5) used to name the report "5", written beside the manifest.
+        manifest = _manifest_with(tmp_path / "c", {"output": 5})
+        assert main(["compare", "--manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {manifest}: 'output' must be a string, got 5\n"
+        assert list((tmp_path / "c").glob("5*")) == []
+
     @pytest.mark.parametrize("command", ["optimize", "compare"])
     def test_seed_flag_rescues_a_seedless_stochastic_manifest(self, tmp_path, capsys,
                                                               command):
@@ -987,6 +995,30 @@ class TestForkedSearches:
             proc.communicate()
         with pytest.raises(ProcessLookupError):
             os.kill(search, 0)
+        assert not (tmp_path / "out").exists()
+
+    # The first fork is the score-file reader's; the second and fourth are searches'.
+    @pytest.mark.parametrize("fork", [1, 2, 4])
+    def test_sigterm_during_a_fork_is_honoured(self, tmp_path, fork):
+        # CPython may run the handler inside an after-fork hook, such as
+        # logging's, and drops what the hook raises; compare must still stop.
+        program = (
+            "import os, signal, sys, threading\n"
+            "import fusionopt.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks = []\n"
+            "def after_in_parent():\n"
+            "    forks.append(None)\n"
+            "    if len(forks) == int(sys.argv[1]):\n"
+            "        signal.pthread_kill(threading.main_thread().ident, signal.SIGTERM)\n"
+            "os.register_at_fork(after_in_parent=after_in_parent)\n"
+            "raise SystemExit(cli.main(sys.argv[2:]))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", program, str(fork), "compare",
+             "--manifest", str(BUNDLED_MANIFEST), "--out", str(tmp_path / "out" / "cmp.csv")],
+            capture_output=True, text=True, timeout=60, env=_module_env())
+        assert run.returncode == 128 + signal.SIGTERM, run.stderr
         assert not (tmp_path / "out").exists()
 
     def test_sigterm_handler_is_restored(self, tmp_path, capsys, monkeypatch):

@@ -558,7 +558,7 @@ class TestPSO:
             zero = []
             evaluate = tracker.evaluate
             tracker.evaluate = lambda x: zero.append(not x.any()) or evaluate(x)
-            pso.run(tracker, n_models, seed, params)
+            pso.run(tracker, n_models, seed, **params)
             assert len(zero) == 5 * 31
             rows = np.array(zero).reshape(31, 5)
             assert not rows[0].any()
@@ -599,7 +599,7 @@ class TestNelderMead:
 
         tracker = EvaluationTracker(quadratic_bowl([0.3, 0.5, 0.2]), 10_000)
         params = OptimizerConfig(method="nelder-mead").resolved()
-        nm_run(tracker, 3, params, on_iteration=record)
+        nm_run(tracker, 3, **params, on_iteration=record)
         assert sizes, "expected at least one iteration"
         assert all(size == (4, 4) for size in sizes)
 
@@ -611,7 +611,7 @@ class TestNelderMead:
 
         tracker = EvaluationTracker(quadratic_bowl([0.6, 0.4]), 10_000)
         params = OptimizerConfig(method="nelder-mead").resolved()
-        nm_run(tracker, 2, params, on_iteration=record)
+        nm_run(tracker, 2, **params, on_iteration=record)
         assert len(states) < params["max_iterations"], "terminated by the cap, not spread"
         final = states[-1]
         assert max(final) - min(final) < params["spread_tolerance"]

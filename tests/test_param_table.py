@@ -1,10 +1,14 @@
 """The search-parameter table is the one source of methods, defaults and the README table."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import pytest
 
 from fusionopt.cli import COMPARISON_ORDER
 from fusionopt.optimizers import METHODS, STOCHASTIC_METHODS, OptimizerConfig
+from fusionopt.optimizers import genetic, nelder_mead, powell, pso
 from fusionopt.optimizers.common import SEARCH_PARAMS
 
 
@@ -21,6 +25,16 @@ def test_overrides_arrive_with_the_type_of_their_default():
         seed = 1 if method in STOCHASTIC_METHODS else None
         resolved = OptimizerConfig(method=method, seed=seed).resolved()
         assert resolved == {name: default for name, (default, _, _) in table.items()}
+
+
+@pytest.mark.parametrize("method,module", [
+    ("pso", pso), ("ga", genetic), ("powell", powell), ("nelder-mead", nelder_mead)])
+def test_each_method_takes_exactly_its_table_entries(method, module):
+    required = [
+        name for name, p in inspect.signature(module.run).parameters.items()
+        if p.kind is p.KEYWORD_ONLY and p.default is p.empty
+    ]
+    assert required == list(SEARCH_PARAMS[method])
 
 
 def _readme_parameter_rows():

@@ -2,6 +2,10 @@
 
 import importlib.util
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +52,13 @@ def test_the_budget_corpus_runs_pso_past_the_default_budget(tmp_path, monkeypatc
     assert manifest["params"]["swarm_size"] > DEFAULT_MAX_EVALUATIONS
     case = same_outputs.cases([1])["budget-compare"]
     assert case[case.index("--manifest") + 1] == "budget/manifest.json"
+
+
+def test_budget_cases_print_each_stop_reason(tmp_path, monkeypatch):
+    same_outputs = _script(monkeypatch)
+    shutil.copytree(ROOT / "data" / "synthetic", tmp_path / "synthetic")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", same_outputs.BUDGET_CASES], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    # Every case runs past its budget: 40 rows then a first step, or 10**7 rows.
+    assert proc.stdout.count("}\n budget_exhausted\n") == 8

@@ -894,6 +894,30 @@ class TestManifest:
         with pytest.raises(ConfigError, match=rf"^{re.escape(f'{path}: {message}')}"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("id", 5), ("id", {"a": 1}), ("scores_path", ["m1.csv"]), ("labels_path", 1.5),
+        ("method", None), ("output", 5), ("objective", None), ("validation_ids_path", True),
+    ])
+    def test_string_valued_keys_take_only_json_strings(self, tmp_path, key, value):
+        import json
+        _manifest_files(tmp_path)
+        body = self._base()
+        if key in ("id", "scores_path"):
+            body["models"][0][key] = value
+        else:
+            body[key] = value
+        path = _write(tmp_path, "manifest.json", json.dumps(body))
+        message = f"{path}: '{key}' must be a string, got {json.dumps(value)}"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+            load_manifest(path)
+
+    def test_null_validation_ids_path_means_no_list(self, tmp_path):
+        import json
+        _manifest_files(tmp_path)
+        path = _write(tmp_path, "manifest.json",
+                      json.dumps(self._base(validation_ids_path=None)))
+        assert load_manifest(path).validation_ids_path is None
+
     def test_readme_manifest_bullet_names_exactly_the_manifest_keys(self):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         bullet = text.split("- **Manifest (JSON)**", 1)[1].split("\n- **", 1)[0]
