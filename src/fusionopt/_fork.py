@@ -49,14 +49,14 @@ def _terminate(signum, frame):
 
 
 @contextmanager
-def forked(tasks, names, ways: int):
+def forked(tasks, names, ways: int | None = None):
     """One call per task, in order, that returns the task's value or raises its error.
 
     With two usable CPUs or more, the tasks are cut into at most ``ways``
-    shares of consecutive tasks, none more than one task larger than
-    another, the smallest first. Each share but the first starts at once in
-    a child of its own, which runs its tasks in order and stops at the first
-    that raises. The first share runs here, each task when its call is
+    shares (by default one per usable CPU) of consecutive tasks, none more
+    than one task larger than another, the smallest first. Each share but
+    the first starts at once in a child of its own, which runs its tasks in
+    order and stops at the first that raises. The first share runs here, each task when its call is
     made. A task's outcome is its value or its error: a call to a child's
     task waits for the child, then returns or raises as the task did; an
     unexpected error keeps the child's traceback as its cause.
@@ -72,7 +72,8 @@ def forked(tasks, names, ways: int):
     reaped.
     """
     tasks = list(tasks)
-    ways = min(ways, len(tasks)) if usable_cpus() > 1 else 1
+    cpus = usable_cpus()
+    ways = min(cpus if ways is None else ways, len(tasks)) if cpus > 1 else 1
     if ways < 2:
         yield tasks
         return

@@ -26,7 +26,6 @@ from .common import (
     OptResult,
     result_to_json,
     rng_stream,
-    simplex_grid_size,
     write_result_json,
 )
 
@@ -34,7 +33,7 @@ __all__ = [
     "METHODS", "STOCHASTIC_METHODS", "DEFAULT_GRID_STEP", "DEFAULT_MAX_EVALUATIONS",
     "OptimizerConfig", "OptResult", "optimize", "check_search", "brute_force",
     "result_to_json", "write_result_json",
-    "rng_stream", "simplex_grid_size", "EvaluationTracker", "BudgetExhausted",
+    "rng_stream", "EvaluationTracker", "BudgetExhausted",
 ]
 
 
@@ -43,9 +42,7 @@ def check_search(config: OptimizerConfig, n_models: int) -> None:
     if n_models < 1:
         raise ConfigError("need at least one model to optimize over")
     if config.method == "bf":
-        # Counted exactly, before the search: the grid, plus equal weights if off it.
-        steps = config.grid_steps()
-        count = simplex_grid_size(steps, n_models) + bool(steps % n_models)
+        count = _brute_force.grid_size(config.grid_steps(), n_models)
         if count > config.max_evaluations:
             raise ConfigError(
                 f"method 'bf': brute-force search holds {count} candidates, exceeding the "

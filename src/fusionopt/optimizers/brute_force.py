@@ -9,6 +9,7 @@ errors go to the lexicographically smallest vector.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -29,6 +30,11 @@ def grid_candidates(steps: int, n_models: int):
         yield np.array([(b - a - 1) / steps for a, b in zip((-1, *bars), (*bars, end))])
     if steps % n_models:
         yield equal_weights(n_models).values
+
+
+def grid_size(steps: int, n_models: int) -> int:
+    """How many candidates :func:`grid_candidates` yields."""
+    return math.comb(steps + n_models - 1, n_models - 1) + bool(steps % n_models)
 
 
 def run(tracker: EvaluationTracker, n_models: int, steps: int) -> None:

@@ -298,8 +298,3 @@ def uniform_rows(tracker: EvaluationTracker, rng: np.random.Generator, count: in
         rows.append(rng.uniform(size=n_models))
         errors.append(tracker.evaluate(rows[-1]))
     return np.array(rows), errors
-
-
-def simplex_grid_size(steps: int, n_models: int) -> int:
-    """Number of grid points with entries i/steps summing to 1 (stars and bars)."""
-    return math.comb(steps + n_models - 1, n_models - 1)

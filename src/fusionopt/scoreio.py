@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import forked, usable_cpus
+from ._fork import forked
 from .errors import ConfigError, DataError
 from .fusion import class_indices, exact_simplex_rows
 from .optimizers.common import DEFAULT_GRID_STEP
@@ -259,7 +259,7 @@ def _write_csv(path, header, columns) -> None:
         fh.write(",".join(map(_csv_field, header)) + "\n")
         starts = range(0, len(columns[0]) if columns else 0, _WRITE_ROWS)
         with forked([partial(_csv_block, columns, start) for start in starts],
-                    [f"{path}: formatter"] * len(starts), usable_cpus()) as blocks:
+                    [f"{path}: formatter"] * len(starts)) as blocks:
             for block in blocks:
                 fh.write(block())
 
@@ -600,7 +600,7 @@ def _readers(models, labels_path):
     if len(models) > 1:
         labels.positions  # built before the readers fork, so they share it
     readers = [partial(_read_in_label_order, path, mid, labels) for mid, path in models]
-    with forked(readers, [f"{path}: reader" for _, path in models], usable_cpus()) as calls:
+    with forked(readers, [f"{path}: reader" for _, path in models]) as calls:
         yield labels, [mid for mid, _ in models], calls
 
 

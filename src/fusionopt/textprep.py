@@ -141,14 +141,8 @@ def augment_backtranslate(
             raise AugmentationError(
                 f"translation failed for sample '{sample.sample_id}': {exc}"
             ) from exc
-        out.append(
-            TextSample(
-                sample_id=f"{sample.sample_id}-bt",
-                text=translated,
-                label=sample.label,
-                language=target_lang,
-            )
-        )
+        out.append(replace(sample, sample_id=f"{sample.sample_id}-bt", text=translated,
+                           language=target_lang))
     return out
 
 

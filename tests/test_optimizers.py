@@ -15,10 +15,9 @@ from fusionopt.optimizers import (
     brute_force,
     optimize,
     result_to_json,
-    simplex_grid_size,
 )
 from fusionopt.optimizers import genetic, pso
-from fusionopt.optimizers.brute_force import grid_candidates
+from fusionopt.optimizers.brute_force import grid_candidates, grid_size
 from fusionopt.optimizers.common import BudgetExhausted, EvaluationTracker, rank_key, rng_stream
 from fusionopt.optimizers.nelder_mead import run as nm_run
 
@@ -336,7 +335,7 @@ class TestBruteForce:
     def test_grid_count_matches_stars_and_bars(self):
         # C(20 + 3 - 1, 3 - 1) = C(22, 2) = 231 simplex points for step 0.05;
         # the appended one-hots already sit on the grid, equal weights does not.
-        assert simplex_grid_size(20, 3) == math.comb(22, 2) == 231
+        assert grid_size(20, 3) == math.comb(22, 2) + 1 == 232
         counter = {"n": 0}
 
         def counting(raw):
@@ -364,6 +363,7 @@ class TestBruteForce:
             got = list(grid_candidates(steps, n_models))
             assert [c.dtype for c in got] == [np.float64] * len(expected)
             assert [c.tolist() for c in got] == [e.tolist() for e in expected]
+            assert grid_size(steps, n_models) == len(got)
 
     def test_a_thousand_models_on_the_coarsest_grid(self):
         # A grid built by recursion as deep as the model count overflows the stack here.
