@@ -5,7 +5,7 @@ one mediocre, one weak) score the same samples; a fixed validation/test
 split and an experiment manifest round out the corpus. Fully seeded, so
 reruns reproduce the committed files byte for byte.
 
-Usage:  python scripts/make_synthetic.py [--out data/synthetic] [--seed 7]
+Usage:  python scripts/make_synthetic.py [--out data/synthetic]
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ TIERS = (
     ("model_mid", 0.68, 0.26),
     ("model_weak", 0.56, 0.32),
 )
+SEED = 7
+SAMPLES = 240
+VALIDATION = 160  # size of the validation split
 
 
 def build_matrices(rng: np.random.Generator, labels: np.ndarray, sample_ids):
@@ -41,18 +44,14 @@ def build_matrices(rng: np.random.Generator, labels: np.ndarray, sample_ids):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="data/synthetic", type=Path)
-    parser.add_argument("--seed", default=7, type=int)
-    parser.add_argument("--samples", default=240, type=int)
-    parser.add_argument("--validation", default=160, type=int,
-                        help="size of the validation split")
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    n = args.samples
+    rng = np.random.default_rng(SEED)
+    n = SAMPLES
     labels = rng.permutation((np.arange(n) % 2).astype(np.int64))
     sample_ids = tuple(f"s{i:04d}" for i in range(n))
     matrices = build_matrices(rng, labels, sample_ids)
-    validation_ids = sorted(rng.permutation(n)[: args.validation].tolist())
+    validation_ids = sorted(rng.permutation(n)[:VALIDATION].tolist())
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -79,7 +78,7 @@ def main() -> None:
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
-    print(f"wrote {n} samples ({args.validation} validation) to {out}/")
+    print(f"wrote {n} samples ({VALIDATION} validation) to {out}/")
 
 
 if __name__ == "__main__":

@@ -163,15 +163,14 @@ def read_samples(path) -> list[TextSample]:
             raise DataError(
                 f"{path}:{lineno}: expected an object with keys sample_id, text, label, lang"
             )
+        for key in ("sample_id", "text", "lang"):
+            if not isinstance(obj[key], str):
+                raise DataError(
+                    f"{path}:{lineno}: '{key}' must be a string, got {json.dumps(obj[key])}")
         if not isinstance(obj["label"], int) or isinstance(obj["label"], bool):
             raise DataError(f"{path}:{lineno}: label must be an integer")
         try:
-            sample = TextSample(
-                sample_id=str(obj["sample_id"]),
-                text=str(obj["text"]),
-                label=obj["label"],
-                language=str(obj["lang"]),
-            )
+            sample = TextSample(obj["sample_id"], obj["text"], obj["label"], obj["lang"])
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         first = seen.setdefault(sample.sample_id, lineno)

@@ -1389,6 +1389,18 @@ class TestPrep:
             write_samples(samples, out)
         assert not out.parent.exists()
 
+    def test_non_string_values_exit_one_without_output(self, tmp_path, capsys):
+        # Each of sample_id, text and lang is wrong; sample_id is checked first.
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"sample_id": null, "text": 5, "label": 1, "lang": ["it"]}\n',
+                       encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert main(["prep", "clean", str(src), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {src}:1: 'sample_id' must be a string, got null\n"
+        assert not out.exists()
+
     def test_parse_error_exits_one_with_line(self, tmp_path, capsys):
         src = tmp_path / "in.jsonl"
         src.write_text("nonsense\n", encoding="utf-8")

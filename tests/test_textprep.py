@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -257,4 +258,19 @@ class TestSamplesIO:
             encoding="utf-8",
         )
         with pytest.raises(DataError, match="label"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("sample_id", None, "null"),
+        ("text", 5, "5"),
+        ("lang", ["it"], '["it"]'),
+    ], ids=["sample_id", "text", "lang"])
+    def test_string_valued_keys_take_only_json_strings(self, tmp_path, key, value, shown):
+        # The other keys stay valid, so the error is the one about ``key``.
+        sample = {"sample_id": "a", "text": "x", "label": 0, "lang": "en", key: value}
+        path = tmp_path / "samples.jsonl"
+        path.write_text('{"sample_id": "z", "text": "y", "label": 1, "lang": "en"}\n'
+                        + json.dumps(sample) + "\n", encoding="utf-8")
+        message = f"{path}:2: '{key}' must be a string, got {shown}"
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
             read_samples(path)
