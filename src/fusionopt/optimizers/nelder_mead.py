@@ -57,22 +57,13 @@ def run(tracker: EvaluationTracker, n_models: int, *, reflection: float, expansi
         elif f_reflected < errors[-2]:
             vertices[-1], errors[-1] = reflected, f_reflected
         else:
-            shrink_needed = False
-            if f_reflected < errors[-1]:
-                contracted = (centroid + contraction * (reflected - centroid)).clip(0.0, 1.0)
-                f_contracted = tracker.evaluate(contracted)
-                if f_contracted <= f_reflected:
-                    vertices[-1], errors[-1] = contracted, f_contracted
-                else:
-                    shrink_needed = True
+            outside = f_reflected < errors[-1]
+            toward = reflected if outside else worst
+            contracted = (centroid + contraction * (toward - centroid)).clip(0.0, 1.0)
+            f_contracted = tracker.evaluate(contracted)
+            if (f_contracted <= f_reflected) if outside else (f_contracted < errors[-1]):
+                vertices[-1], errors[-1] = contracted, f_contracted
             else:
-                contracted = (centroid + contraction * (worst - centroid)).clip(0.0, 1.0)
-                f_contracted = tracker.evaluate(contracted)
-                if f_contracted < errors[-1]:
-                    vertices[-1], errors[-1] = contracted, f_contracted
-                else:
-                    shrink_needed = True
-            if shrink_needed:
                 for i in range(1, len(vertices)):
                     step = shrink * (vertices[i] - vertices[0])
                     vertices[i] = (vertices[0] + step).clip(0.0, 1.0)
