@@ -15,7 +15,11 @@ a ``git archive`` checkout, then this tree's ``src/``. The cases:
   log records, so a change that breaks the budget stop shows as a difference;
 - ``compare`` on a copy of ``data/synthetic`` whose manifest gives ``pso`` a
   swarm one larger than the default budget, so the command warns that the
-  budget cut ``pso`` off.
+  budget cut ``pso`` off;
+- ``prep clean``, ``prep balance --seed 7`` and ``prep augment --source-lang
+  it --target-lang en`` of one small JSONL file (``PREP_SAMPLES``) that holds
+  a URL, an ``@handle``, an emoji, a hashtag, in-word ``'`` and ``-``, extra
+  whitespace, Italian and English texts and unequal label counts.
 
 Every file a case writes must match, and so must its stdout and stderr.
 
@@ -63,6 +67,15 @@ for method, param in (("pso", "swarm_size"), ("ga", "population_size")):
         print(result_to_json(result), getattr(result, "stop_reason", None), flush=True)
 """
 
+PREP_SAMPLES = [
+    {"sample_id": "t1", "text": "Che bella giornata!! https://t.co/x1 @amica \U0001F600",
+     "label": 1, "lang": "it"},
+    {"sample_id": "t2", "text": "  non   è   l'ideale #lunedì  ", "label": 0, "lang": "it"},
+    {"sample_id": "t3", "text": "A well-known fact... isn't it?", "label": 1, "lang": "en"},
+    {"sample_id": "t4", "text": "Great news @team \u2764\ufe0f #win", "label": 1, "lang": "en"},
+]
+PREP_INPUT = "prep/samples.jsonl"
+
 
 def cases(seeds: list[int]) -> dict[str, list[str]]:
     """Case name -> the arguments after ``python``, run in the scratch folder."""
@@ -90,7 +103,19 @@ def cases(seeds: list[int]) -> dict[str, list[str]]:
     found["budget"] = ["-c", BUDGET_CASES]
     found["budget-compare"] = [*cli, "compare", "--manifest", "budget/manifest.json",
                                "--out", "budget/comparison.csv"]
+    for command, options in (("clean", []), ("balance", ["--seed", "7"]),
+                             ("augment", ["--source-lang", "it", "--target-lang", "en"])):
+        found[f"prep-{command}"] = [*cli, "prep", command, PREP_INPUT, *options,
+                                    "--out", f"prep/{command}.jsonl"]
     return found
+
+
+def write_prep_samples(into: Path) -> None:
+    """``PREP_SAMPLES`` as the JSONL file ``into / PREP_INPUT``."""
+    path = into / PREP_INPUT
+    path.parent.mkdir(parents=True)
+    path.write_text("".join(json.dumps(sample, ensure_ascii=False) + "\n"
+                            for sample in PREP_SAMPLES), encoding="utf-8")
 
 
 def write_budget_corpus(into: Path) -> None:
@@ -134,6 +159,7 @@ def main(argv=None) -> int:
         inputs = work / "inputs"
         shutil.copytree(ROOT / "data" / "synthetic", inputs / "synthetic")
         write_budget_corpus(inputs / "budget")
+        write_prep_samples(inputs)
         for seed in seeds:
             corpus.write_corpus(inputs / f"large-{seed}", seed, *shape, search=search)
             corpus.write_corpus(inputs / f"fuse-{seed}", seed, *fuse_shape)

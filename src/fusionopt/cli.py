@@ -136,6 +136,26 @@ def _run(manifest_path, manifest, methods, seed, grid_step, variant, out, json_p
     return 0
 
 
+def _openblas_functions(*names) -> list[tuple]:
+    """``openblas_<name>`` for each name, per OpenBLAS in this process's memory map; [] off Linux."""
+    if sys.platform != "linux":
+        return []
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    found = []
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # a mapping that is not a loadable library
+            continue
+        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
+            symbols = [f"{prefix}openblas_{name}{suffix}" for name in names]
+            if all(hasattr(library, symbol) for symbol in symbols):
+                found.append(tuple(getattr(library, symbol) for symbol in symbols))
+                break
+    return found
+
+
 def _openblas_threads() -> list:
     """``(get, set)`` of ``openblas_*_num_threads`` for each OpenBLAS loaded here (Linux only).
 
@@ -145,21 +165,7 @@ def _openblas_threads() -> list:
     two CPUs took three to six times as long as serial. So searches fork
     only where OpenBLAS can be set to one thread.
     """
-    with open("/proc/self/maps", encoding="utf-8") as maps:
-        paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
-    controls = []
-    for path in sorted(paths):
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:  # a mapping that is not a loadable library
-            continue
-        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
-            name = f"{prefix}openblas_{{}}_num_threads{suffix}"
-            if hasattr(library, name.format("set")):
-                controls.append((getattr(library, name.format("get")),
-                                 getattr(library, name.format("set"))))
-                break
-    return controls
+    return _openblas_functions("get_num_threads", "set_num_threads")
 
 
 def _searches(objective, n_models, configs):
@@ -250,6 +256,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_prep(args) -> int:
+    _check_outputs([args.out], [args.input])
     samples = read_samples(args.input)
     if args.prep_command == "clean":
         out = [replace(s, text=clean_text(s.text)) for s in samples]

@@ -25,23 +25,14 @@ import numpy as np
 def openblas_text(name: str) -> str | None:
     """``openblas_get_<name>()`` ("corename", "config") of numpy's OpenBLAS; None without one.
 
-    The library is the one numpy loaded, found in this process's memory map
-    under the symbol prefixes and suffixes OpenBLAS builds use.
+    The library is the first one found by ``cli._openblas_functions``, the
+    lookup ``compare`` uses to set OpenBLAS to one thread.
     """
-    if sys.platform != "linux":
-        return None
-    with open("/proc/self/maps", encoding="utf-8") as maps:
-        paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
-    for path in sorted(paths):
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:  # a mapping that is not a loadable library
-            continue
-        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
-            function = getattr(library, f"{prefix}openblas_get_{name}{suffix}", None)
-            if function is not None:
-                function.argtypes, function.restype = [], ctypes.c_char_p
-                return function().decode()
+    from fusionopt.cli import _openblas_functions
+
+    for (function,) in _openblas_functions(f"get_{name}"):
+        function.argtypes, function.restype = [], ctypes.c_char_p
+        return function().decode()
     return None
 
 

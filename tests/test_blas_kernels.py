@@ -10,6 +10,9 @@ run ``tests/blas_probe.py``:
 
 - ``python -m fusionopt compare`` on a copy of ``data/synthetic``: its CSV
   and six JSONs must equal ``tests/golden/``;
+- ``compare`` on a 3,000-sample corpus of 5 models and 5 classes from
+  ``bench/corpus.py``: its CSV and six JSONs must equal those of the same
+  command under this process's own kernel;
 - the six K=3 searches of ``test_golden_k3.py``, each equal to its golden,
   and the scorer on ``synthdata.near_tie_dataset``: for each of its weight
   vectors the error count must equal a float64-only reference's.
@@ -21,6 +24,7 @@ so the tests also check that the override took effect. Where numpy's BLAS
 is not OpenBLAS built with ``DYNAMIC_ARCH``, every test here skips.
 """
 
+import importlib.util
 import json
 import os
 import platform
@@ -40,6 +44,8 @@ from fusionopt.optimizers import METHODS
 TESTS = Path(__file__).resolve().parent
 BUNDLED = TESTS.parent / "data" / "synthetic"
 GOLDEN = TESTS / "golden"
+CORPUS_SCRIPT = TESTS.parent / "bench" / "corpus.py"
+OUTPUTS = ["comparison.csv", *(f"comparison.{method}.json" for method in COMPARISON_ORDER)]
 
 # The names OpenBLAS reports for the forced kernels: it calls Prescott's "Katmai".
 CORE_NAMES = {"Prescott": "Katmai", "Haswell": "Haswell"}
@@ -104,6 +110,32 @@ def test_compare_matches_the_goldens(tmp_path, setting):
     for method in COMPARISON_ORDER:
         written = (corpus / f"comparison.{method}.json").read_bytes()
         assert written == (GOLDEN / f"optimize.{method}.json").read_bytes(), method
+
+
+@pytest.fixture(scope="module")
+def k5_corpus(tmp_path_factory):
+    """A K = 5, M = 5 corpus and its ``compare`` outputs under this process's kernel."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", CORPUS_SCRIPT)
+    corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    spec.loader.exec_module(corpus)
+    root = tmp_path_factory.mktemp("k5") / "corpus"
+    corpus.write_corpus(root, 5, 3000, 5, 5)
+    reference = shutil.copytree(root, root.parent / "reference")
+    src = Path(fusionopt.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-m", "fusionopt", "compare",
+                    "--manifest", str(reference / "manifest.json")],
+                   env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                   timeout=120, check=True)
+    return root, {name: (reference / name).read_bytes() for name in OUTPUTS}
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_k5_compare_matches_this_process_kernel(tmp_path, setting, k5_corpus):
+    root, expected = k5_corpus
+    corpus = shutil.copytree(root, tmp_path / "corpus")
+    _probe(setting, "compare", "--manifest", str(corpus / "manifest.json"))
+    for name in OUTPUTS:
+        assert (corpus / name).read_bytes() == expected[name], name
 
 
 @pytest.mark.parametrize("setting", SETTINGS)

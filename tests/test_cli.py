@@ -1284,6 +1284,17 @@ class TestOutputOverInput:
         argv = ["compare", "--manifest", str(manifest), "--out", str(root / "r.csv")]
         self._refused(argv, root, capsys, root / "r.pso.json", root / "r.pso.json")
 
+    @pytest.mark.parametrize("command, options", [
+        ("clean", []), ("balance", ["--seed", "7"]), ("augment", [])])
+    @pytest.mark.parametrize("out", ["s.jsonl", "sub/../s.jsonl"])
+    def test_prep(self, tmp_path, capsys, monkeypatch, command, options, out):
+        root = tmp_path / "c"
+        write_samples([TextSample("a", "Ciao @amica!!", 1, "it"),
+                       TextSample("b", "water", 0, "en")], root / "s.jsonl")
+        monkeypatch.chdir(root)
+        argv = ["prep", command, "s.jsonl", *options, "--out", out]
+        self._refused(argv, root, capsys, out, "s.jsonl")
+
 
 class TestValidationTestSeparation:
     def test_altering_test_scores_never_changes_weights(self, tmp_path, capsys):

@@ -62,3 +62,22 @@ def test_budget_cases_print_each_stop_reason(tmp_path, monkeypatch):
                           env=env, capture_output=True, text=True, check=True)
     # Every case runs past its budget: 40 rows then a first step, or 10**7 rows.
     assert proc.stdout.count("}\n budget_exhausted\n") == 8
+
+
+def test_each_prep_case_reads_the_written_samples(tmp_path, monkeypatch):
+    from fusionopt.textprep import read_samples
+
+    same_outputs = _script(monkeypatch)
+    same_outputs.write_prep_samples(tmp_path)
+    samples = read_samples(tmp_path / same_outputs.PREP_INPUT)
+    assert {s.language for s in samples} == {"it", "en"}
+    assert len({s.label for s in samples}) == 2  # unequal counts, so balance adds samples
+    found = same_outputs.cases([1])
+    prep = {name: args for name, args in found.items() if "prep" in args}
+    assert list(prep) == ["prep-clean", "prep-balance", "prep-augment"]
+    outputs = set()
+    for args in prep.values():
+        command = args[args.index("prep") + 1]
+        assert args[args.index(command) + 1] == same_outputs.PREP_INPUT
+        outputs.add(args[args.index("--out") + 1])
+    assert len(outputs) == 3
